@@ -21,9 +21,9 @@ from inidstat import (
 )
 
 # ---------------------------------------------------------------------------
-# The catalogue.  Power laws with cdf t^p / (1 + t^p) double their odds
-# exactly at K = 2^(1/p); uniform needs K = 2; the two light-tailed laws
-# certify comfortably at K = 3.
+# The catalogue.  Power laws with cdf 1 - t^-p on [1, inf) have odds
+# t^p - 1, which K = 2^(1/p) turns into 2 t^p - 1, just over double;
+# uniform needs K = 2; the two light-tailed laws certify comfortably at K = 3.
 catalogue = [
     (Uniform01(), 2.0),
     (ParetoPower(p=0.5), 4.0),

@@ -53,7 +53,7 @@ from .bounds import (
     verify_theorem,
     verify_upper_tail,
 )
-from .mc import SimResult, kth_smallest, sample, simulate_median
+from .mc import SimResult, sample, simulate_median
 
 __version__ = "0.1.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "verify_theorem",
     "verify_upper_tail",
     "SimResult",
-    "kth_smallest",
     "sample",
     "simulate_median",
     "__version__",

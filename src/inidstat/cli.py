@@ -404,8 +404,6 @@ def _cmd_oracle(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for pipeline compatibility; results are identical for any value")
 
 
 def _add_family(p: argparse.ArgumentParser) -> None:

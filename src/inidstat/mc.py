@@ -2,9 +2,13 @@
 
 Sampling goes through ``dist.quantile`` (inverse transform), so the sampler
 and the exact engine share one definition of every law.  Median estimates
-carry a distribution-free order-statistic confidence interval, and replicate
-streams are derived from (seed, replicate_index) with a counter-based
-generator so results do not depend on execution order or thread count.
+carry a distribution-free order-statistic confidence interval.
+
+All uniforms come from one Philox4x64 stream keyed by the seed (mod 2**64)
+and read in order: replicate j owns the stream's draws [j*n, (j+1)*n), one
+per component.  Replicates are processed in bounded chunks, so memory stays
+O(R + chunk) floats for R replicates, and the results are reproducible bit
+for bit and do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -22,14 +26,18 @@ from .ostat import OrderStatModel
 __all__ = [
     "SimResult",
     "sample",
-    "kth_smallest",
     "median_ci_ranks",
     "simulate_median",
 ]
 
 _MASK64 = (1 << 64) - 1
-_GENERATOR_TAG = "philox4x64(key = seed | replicate_index << 64)"
+_GENERATOR_TAG = "philox4x64(key = seed mod 2**64); replicate j reads draws [j*n, (j+1)*n)"
 _MIN_REPLICATES = 100
+# Uniforms drawn per chunk.  Every chunk costs one ``sample`` call per
+# component, so a chunk must stay large enough to amortise that call; the
+# row floor keeps that true for very wide models.
+_CHUNK_VARIATES = 1 << 20
+_MIN_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -72,28 +80,10 @@ class SimResult:
 def sample(d: Distribution, u):
     """Inverse-transform sample: quantile(d, u) for u in the open unit interval."""
     arr = np.asarray(u, dtype=float)
-    if np.any(np.isnan(arr)) or np.any((arr <= 0.0) | (arr >= 1.0)):
+    # min and max propagate NaN, which fails both comparisons.
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise ValueError("u must lie strictly inside (0, 1)")
     return d.quantile(u)
-
-
-def kth_smallest(values, k) -> float:
-    """Rank-k value (1-based, ascending, ties counted) by introselect.
-
-    The input may be permuted in place when it is already a float64 array;
-    pass a copy if the order matters to the caller.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    n = arr.size
-    k = operator.index(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if not arr.flags.writeable:
-        arr = arr.copy()
-    arr.partition(k - 1)
-    return float(arr[k - 1])
 
 
 def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:
@@ -110,18 +100,18 @@ def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:
     return a, R - a + 1
 
 
-def _replicate_generator(seed: int, replicate_index: int) -> np.random.Generator:
-    key = (seed & _MASK64) | (replicate_index << 64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def simulate_median(
     model: OrderStatModel,
     replicates: int,
     seed: int = 0,
     ci_level: float = 0.99,
 ) -> SimResult:
-    """Sample median of the k-th smallest over R independent replicates."""
+    """Sample median of the k-th smallest over R independent replicates.
+
+    Replicate j reads draws [j*n, (j+1)*n) of one Philox4x64 stream keyed by
+    ``seed`` mod 2**64.  Memory: two chunk buffers of at most
+    max(2**20, 64*n) floats each, plus the R selected values.
+    """
     R = operator.index(replicates)
     if R < _MIN_REPLICATES:
         raise ValueError(f"need at least {_MIN_REPLICATES} replicates for a meaningful interval, got {R}")
@@ -132,19 +122,23 @@ def simulate_median(
 
     t0 = time.perf_counter()
     n, k = model.n, model.k
-    u = np.empty((R, n))
-    for rep in range(R):
-        u[rep] = _replicate_generator(seed, rep).random(n)
-    # random() can emit exactly 0; nudge into the open interval.
-    np.maximum(u, 5e-324, out=u)
-
-    x = np.empty_like(u)
-    for i, d in enumerate(model.components):
-        x[:, i] = sample(d, u[:, i])
-    if n == 1:
-        vals = x[:, 0]
-    else:
-        vals = np.partition(x, k - 1, axis=1)[:, k - 1]
+    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    rows = min(R, max(_CHUNK_VARIATES // n, _MIN_CHUNK_ROWS))
+    # Buffers reused by every chunk; the last chunk uses their first m rows
+    # of draws and first m columns of x.
+    draws = np.empty((rows, n))
+    x = np.empty((n, rows))
+    vals = np.empty(R)
+    for lo in range(0, R, rows):
+        m = min(rows, R - lo)
+        rng.random(out=draws[:m])
+        # Component-major layout, so each component samples a contiguous row.
+        # random() can emit exactly 0; nudge into the open interval.
+        np.maximum(draws[:m].T, 5e-324, out=x[:, :m])
+        for i, d in enumerate(model.components):
+            x[i, :m] = sample(d, x[i, :m])
+        x[:, :m].partition(k - 1, axis=0)
+        vals[lo:lo + m] = x[k - 1, :m]
 
     vals.sort()
     a, b = median_ci_ranks(R, ci_level)

@@ -1,13 +1,48 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from inidstat.dist import Atomic, Exponential, Uniform01
-from inidstat.mc import SimResult, kth_smallest, median_ci_ranks, sample, simulate_median
+from inidstat import mc
+from inidstat.dist import (
+    Atomic,
+    Exponential,
+    HalfGaussian,
+    ParetoPower,
+    PiecewiseLinearCdf,
+    Uniform01,
+)
+from inidstat.mc import SimResult, median_ci_ranks, sample, simulate_median
 from inidstat.ostat import OrderStatModel, kmin_median
+
+MIXED = (
+    Uniform01(scale=2.0),
+    Exponential(rate=1.5, scale=0.3),
+    HalfGaussian(sigma=2.0),
+    ParetoPower(p=2.0, scale=0.5),
+    PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.25), (3.0, 1.0))),
+    Atomic(atoms=((0.5, 0.3), (1.5, 0.7))),
+    Exponential(rate=1.0, scale=40.0),
+)
+
+
+def whole_array_oracle(model, R, seed, ci_level):
+    """simulate_median written out on the full R x n array of one Philox stream."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random((R, model.n))
+    u = np.maximum(u, 5e-324)
+    x = np.empty_like(u)
+    for i, d in enumerate(model.components):
+        x[:, i] = d.quantile(u[:, i])
+    vals = np.sort(np.partition(x, model.k - 1, axis=1)[:, model.k - 1])
+    a, b = median_ci_ranks(R, ci_level)
+    return float(np.median(vals)), float(vals[a - 1]), float(vals[b - 1])
+
+
+def values(res):
+    return res.estimate, res.ci_low, res.ci_high
 
 
 class TestSample:
@@ -36,49 +71,6 @@ class TestSample:
         for t in (0.1, 0.35, 1.0):
             emp = float(np.mean(xs <= t))
             assert emp == pytest.approx(d.cdf(t), abs=0.02)
-
-
-class TestKthSmallest:
-    def test_examples(self):
-        assert kth_smallest([3.0, 1.0, 2.0], 1) == 1.0
-        assert kth_smallest([3.0, 1.0, 2.0], 2) == 2.0
-        assert kth_smallest([3.0, 1.0, 2.0], 3) == 3.0
-        assert kth_smallest([5.0], 1) == 5.0
-        # Ties count with multiplicity.
-        assert kth_smallest([2.0, 1.0, 1.0, 1.0], 3) == 1.0
-        assert kth_smallest([2.0, 1.0, 1.0, 1.0], 4) == 2.0
-
-    def test_matches_full_sort(self):
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            n = int(rng.integers(1, 1000))
-            base = rng.normal(size=n)
-            if n > 3 and rng.random() < 0.5:
-                base[: n // 2] = rng.choice(base, size=n // 2)  # inject duplicates
-            k = int(rng.integers(1, n + 1))
-            expected = float(np.sort(base)[k - 1])
-            assert kth_smallest(base.copy(), k) == expected
-
-    def test_may_permute_input(self):
-        arr = np.array([3.0, 1.0, 2.0])
-        kth_smallest(arr, 2)
-        assert sorted(arr.tolist()) == [1.0, 2.0, 3.0]
-
-    def test_readonly_input_left_alone(self):
-        arr = np.array([3.0, 1.0, 2.0])
-        arr.flags.writeable = False
-        assert kth_smallest(arr, 1) == 1.0
-        assert arr.tolist() == [3.0, 1.0, 2.0]
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            kth_smallest([1.0, 2.0], 0)
-        with pytest.raises(ValueError):
-            kth_smallest([1.0, 2.0], 3)
-        with pytest.raises(TypeError):
-            kth_smallest([1.0, 2.0], 1.5)
-        with pytest.raises(ValueError):
-            kth_smallest([[1.0, 2.0]], 1)
 
 
 class TestMedianCiRanks:
@@ -163,3 +155,44 @@ class TestSimulateMedian:
         res = simulate_median(m, replicates=128, seed=3)
         again = SimResult.from_dict(json.loads(json.dumps(res.to_dict())))
         assert again == res
+
+
+class TestStream:
+    # (n, k) covers n = 1 and both ends k = 1 and k = n.
+    @pytest.mark.parametrize("n,k", [(1, 1), (4, 1), (4, 4), (7, 3), (7, 7)])
+    @pytest.mark.parametrize("R", [100, 257, 1000])
+    def test_matches_whole_array_oracle(self, n, k, R):
+        m = OrderStatModel(components=MIXED[:n], k=k)
+        for seed in (0, 12345, 2**64 - 1):
+            res = simulate_median(m, replicates=R, seed=seed, ci_level=0.95)
+            assert values(res) == whole_array_oracle(m, R, seed, 0.95)
+
+    @pytest.mark.parametrize("variates,min_rows", [(1, 1), (37 * 7, 1), (1, 13)])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, variates, min_rows):
+        m = OrderStatModel(components=MIXED, k=4)
+        default = simulate_median(m, replicates=1001, seed=8)
+        monkeypatch.setattr(mc, "_CHUNK_VARIATES", variates)
+        monkeypatch.setattr(mc, "_MIN_CHUNK_ROWS", min_rows)
+        assert simulate_median(m, replicates=1001, seed=8) == default
+
+    def test_negative_seed_keys_by_its_64_bit_residue(self):
+        m = OrderStatModel(components=MIXED[:3], k=2)
+        neg = simulate_median(m, replicates=500, seed=-5)
+        masked = simulate_median(m, replicates=500, seed=(-5) & (2**64 - 1))
+        assert neg.seed == -5
+        assert values(neg) == values(masked)
+
+    def test_memory_is_bounded_by_chunk_and_replicates(self):
+        # R * n exceeds four chunk budgets, so holding even one R x n array
+        # breaks the bound.
+        m = OrderStatModel(components=(Exponential(rate=1.0),) * 200, k=100)
+        R = 25_000
+        assert R * m.n >= 4 * mc._CHUNK_VARIATES
+        chunk = max(mc._CHUNK_VARIATES // m.n, mc._MIN_CHUNK_ROWS) * m.n
+        tracemalloc.start()
+        try:
+            simulate_median(m, replicates=R, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * (chunk + R)
