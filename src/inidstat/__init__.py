@@ -37,7 +37,6 @@ from .regularity import (
     RegularityPreconditionError,
     check_condition,
     check_lemma_growth,
-    check_logconcave_k3,
     check_measure_form,
     check_weak_condition,
     find_min_K,
@@ -86,7 +85,6 @@ __all__ = [
     "RegularityPreconditionError",
     "check_condition",
     "check_lemma_growth",
-    "check_logconcave_k3",
     "check_measure_form",
     "check_weak_condition",
     "find_min_K",

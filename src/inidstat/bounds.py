@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._record import Record
 from .ostat import OrderStatModel, averaged_quantile, kmin_cdf, kmin_median, kmin_strict_cdf
 from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, check_condition
 
@@ -33,6 +34,8 @@ __all__ = [
     "upper_tail_bound",
     "default_lower_t_grid",
     "default_upper_t_grid",
+    "sandwich_verdict",
+    "tail_row",
     "TailBoundRow",
     "TheoremReport",
     "verify_theorem",
@@ -69,7 +72,7 @@ def default_upper_t_grid(K: float, count: int = 10) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class TailBoundRow:
+class TailBoundRow(Record):
     """One threshold comparison: exact tail probability against its budget."""
 
     t: float
@@ -84,32 +87,19 @@ class TailBoundRow:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "side": self.side,
-            "threshold": self.threshold,
-            "exact_prob": self.exact_prob,
-            "bound": self.bound,
-            "verdict": self.verdict,
-            "vacuous": self.vacuous,
-        }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TailBoundRow":
-        return cls(
-            t=obj["t"],
-            side=obj["side"],
-            threshold=obj["threshold"],
-            exact_prob=obj["exact_prob"],
-            bound=obj["bound"],
-            verdict=obj["verdict"],
-            vacuous=obj["vacuous"],
-        )
+def tail_row(t: float, side: str, threshold: float, exact_prob: float, bound: float) -> TailBoundRow:
+    """The row for one tail comparison, judged by the tail rule.
+
+    It passes when exact_prob <= bound + TAIL_TOL, and is vacuous when the
+    bound is at least 1.
+    """
+    verdict = "pass" if exact_prob <= bound + TAIL_TOL else "fail"
+    return TailBoundRow(t, side, threshold, exact_prob, bound, verdict, vacuous=bound >= 1.0)
 
 
 @dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Sandwich verdict for one model at one K, with regularity evidence.
 
     ``verdict`` is "pass" when every component certifies and the sandwich
@@ -135,38 +125,24 @@ class TheoremReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "n": self.n,
-            "k": self.k,
-            "q": self.q,
-            "med": self.med,
-            "ratio": self.ratio,
-            "lower": self.lower,
-            "upper": self.upper,
-            "verdict": self.verdict,
-            "sandwich_holds": self.sandwich_holds,
-            "certificates": [c.to_dict() for c in self.certificates],
-            "q_convention": self.q_convention,
-        }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TheoremReport":
-        return cls(
-            K=obj["K"],
-            n=obj["n"],
-            k=obj["k"],
-            q=obj["q"],
-            med=obj["med"],
-            ratio=obj["ratio"],
-            lower=obj["lower"],
-            upper=obj["upper"],
-            verdict=obj["verdict"],
-            sandwich_holds=obj["sandwich_holds"],
-            certificates=tuple(RegularityCertificate.from_dict(c) for c in obj["certificates"]),
-            q_convention=obj["q_convention"],
-        )
+def sandwich_verdict(
+    q: float, med: float, lower: float, upper: float, certificates: tuple[RegularityCertificate, ...]
+) -> tuple[str, bool]:
+    """(verdict, sandwich_holds) for lower*q <= med <= upper*q.
+
+    Each side holds up to SANDWICH_REL_TOL relative to the larger of its two
+    sides.  The verdict is "precondition-failed" unless every certificate
+    passes, else "pass" or "fail" as the sandwich holds.
+    """
+    lo_val, hi_val = lower * q, upper * q
+    holds = bool(
+        lo_val <= med + SANDWICH_REL_TOL * max(lo_val, med)
+        and med <= hi_val + SANDWICH_REL_TOL * max(med, hi_val)
+    )
+    if not all(c.passed for c in certificates):
+        return "precondition-failed", holds
+    return ("pass" if holds else "fail"), holds
 
 
 def _component_certificates(
@@ -193,7 +169,6 @@ def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID)
     if not (math.isfinite(K) and K > 1.0):
         raise ValueError(f"K must be a finite real > 1, got {K!r}")
     certs = _component_certificates(model, K, grid_spec)
-    regular = all(c.passed for c in certs)
 
     q = averaged_quantile(model)
     med = kmin_median(model)
@@ -204,16 +179,7 @@ def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID)
     else:
         ratio = 1.0 if med == 0.0 else math.inf
 
-    lo_val = lower * q
-    hi_val = upper * q
-    holds = (
-        lo_val <= med + SANDWICH_REL_TOL * max(lo_val, med)
-        and med <= hi_val + SANDWICH_REL_TOL * max(med, hi_val)
-    )
-    if not regular:
-        verdict = "precondition-failed"
-    else:
-        verdict = "pass" if holds else "fail"
+    verdict, holds = sandwich_verdict(q, med, lower, upper, certs)
     return TheoremReport(
         K=K,
         n=model.n,
@@ -224,7 +190,7 @@ def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID)
         lower=lower,
         upper=upper,
         verdict=verdict,
-        sandwich_holds=bool(holds),
+        sandwich_holds=holds,
         certificates=certs,
     )
 
@@ -253,18 +219,7 @@ def _tail_rows(model, K, t_grid, side) -> list[TailBoundRow]:
         else:
             exact = 1.0 - kmin_cdf(model, threshold)
             bound = upper_tail_bound(t, K)
-        verdict = "pass" if exact <= bound + TAIL_TOL else "fail"
-        rows.append(
-            TailBoundRow(
-                t=t,
-                side=side,
-                threshold=threshold,
-                exact_prob=exact,
-                bound=bound,
-                verdict=verdict,
-                vacuous=bound >= 1.0,
-            )
-        )
+        rows.append(tail_row(t, side, threshold, exact, bound))
     return rows
 
 

@@ -8,11 +8,12 @@ human table (default), CSV, or JSON.  Exit codes: 0 all verdicts pass,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
-from scipy import stats as st
+from scipy import special as sps
 
 from . import bounds, mc, ostat, pbin, regularity
 from .dist import (
@@ -244,7 +245,10 @@ def _cmd_verify_theorem(args) -> int:
     report = bounds.verify_theorem(model, args.K, grid)
     if args.unsafe_override_bound is not None:
         # Test hook: rescale both sandwich bounds and re-derive the verdict.
-        report = _override_theorem(report, args.unsafe_override_bound)
+        lower = report.lower * args.unsafe_override_bound
+        upper = report.upper * args.unsafe_override_bound
+        verdict, holds = bounds.sandwich_verdict(report.q, report.med, lower, upper, report.certificates)
+        report = dataclasses.replace(report, lower=lower, upper=upper, verdict=verdict, sandwich_holds=holds)
     n_pass = sum(1 for c in report.certificates if c.passed)
     table = _kv_table(
         [
@@ -270,24 +274,6 @@ def _cmd_verify_theorem(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _override_theorem(report: bounds.TheoremReport, factor: float) -> bounds.TheoremReport:
-    lower = report.lower * factor
-    upper = report.upper * factor
-    lo_val, hi_val = lower * report.q, upper * report.q
-    holds = (
-        lo_val <= report.med + bounds.SANDWICH_REL_TOL * max(lo_val, report.med)
-        and report.med <= hi_val + bounds.SANDWICH_REL_TOL * max(report.med, hi_val)
-    )
-    regular = all(c.passed for c in report.certificates)
-    verdict = "precondition-failed" if not regular else ("pass" if holds else "fail")
-    return bounds.TheoremReport(
-        K=report.K, n=report.n, k=report.k, q=report.q, med=report.med,
-        ratio=report.ratio, lower=lower, upper=upper, verdict=verdict,
-        sandwich_holds=bool(holds), certificates=report.certificates,
-        q_convention=report.q_convention,
-    )
-
-
 def _cmd_tail_bounds(args) -> int:
     model = load_model(args.model)
     sides = ["lower", "upper"] if args.side == "both" else [args.side]
@@ -304,16 +290,9 @@ def _cmd_tail_bounds(args) -> int:
         fn = bounds.verify_lower_tail if side == "lower" else bounds.verify_upper_tail
         rows.extend(fn(model, args.K, grid))
     if args.unsafe_override_bound is not None:
+        # Test hook: rescale every bound and re-derive the verdicts.
         factor = args.unsafe_override_bound
-        rows = [
-            bounds.TailBoundRow(
-                t=r.t, side=r.side, threshold=r.threshold, exact_prob=r.exact_prob,
-                bound=r.bound * factor,
-                verdict="pass" if r.exact_prob <= r.bound * factor + bounds.TAIL_TOL else "fail",
-                vacuous=r.bound * factor >= 1.0,
-            )
-            for r in rows
-        ]
+        rows = [bounds.tail_row(r.t, r.side, r.threshold, r.exact_prob, r.bound * factor) for r in rows]
     csv_text = _csv(
         ["t", "side", "threshold", "exact_prob", "bound", "verdict"],
         [[r.t, r.side, r.threshold, r.exact_prob, r.bound, r.verdict] for r in rows],
@@ -374,7 +353,7 @@ def _cmd_oracle(args) -> int:
         for k in range(1, n + 1):
             model = OrderStatModel(comps, k)
             for t in np.linspace(0.1, 0.9, 9):
-                ref = float(st.binom.sf(k - 1, n, t))
+                ref = float(sps.bdtrc(k - 1, n, t))
                 worst_iid = max(worst_iid, abs(ostat.kmin_cdf(model, t) - ref))
 
     ok = worst_tail <= 1e-12 and worst_iid <= 1e-10

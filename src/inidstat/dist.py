@@ -13,7 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 from scipy import special as sps
@@ -51,20 +51,32 @@ def _wrap(out: np.ndarray, scalar: bool):
 
 @dataclass(frozen=True)
 class Distribution:
-    """Base class for a non-negative scalar law with a multiplicative scale."""
+    """Base class for a non-negative scalar law with a multiplicative scale.
+
+    A parametric family names its positive real parameters in ``_params`` and
+    writes its unit-scale cdf once, as ``_cdf_formula(x, *params)``.  The
+    formula broadcasts over parameter arrays, so ``MixtureCdf.component_cdfs``
+    evaluates every member of the family in one call to the same code; such
+    families are continuous.  Other families leave ``_cdf_formula`` unset and
+    override ``_unit_cdf``.
+    """
 
     scale: float = field(default=1.0, kw_only=True)
 
+    _params: ClassVar[tuple[str, ...]] = ()
+    _cdf_formula: ClassVar[Optional[Callable[..., np.ndarray]]] = None
+
     def __post_init__(self) -> None:
-        s = self.scale
-        if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
-            raise ValueError(f"scale must be a finite positive real, got {s!r}")
-        object.__setattr__(self, "scale", float(s))
+        for name in ("scale", *self._params):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be a finite positive real, got {v!r}")
+            object.__setattr__(self, name, float(v))
 
     # Subclass hooks, all expressed on the unit-scale law.
 
     def _unit_cdf(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._cdf_formula(x, *(getattr(self, name) for name in self._params))
 
     def _unit_cdf_left(self, x: np.ndarray) -> np.ndarray:
         # Continuous laws: the left limit coincides with the cdf.
@@ -118,7 +130,8 @@ class Distribution:
 class Uniform01(Distribution):
     """Uniform law on [0, scale]."""
 
-    def _unit_cdf(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _cdf_formula(x):
         return np.clip(x, 0.0, 1.0)
 
     def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
@@ -127,19 +140,19 @@ class Uniform01(Distribution):
 
 @dataclass(frozen=True)
 class ParetoPower(Distribution):
-    """Power law F(t) = 1 - t**(-p) on [scale, inf), p > 0."""
+    """Power law F(t) = 1 - t**(-p) on [scale, inf), p > 0.
+
+    Computed as -expm1(-p * log t): free of ``pow``, whose rounding differs
+    between numpy scalars and arrays, and accurate in relative terms near
+    t = 1, where 1 - t**(-p) cancels.
+    """
 
     p: float = 1.0
+    _params = ("p",)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (isinstance(self.p, (int, float)) and math.isfinite(self.p) and self.p > 0):
-            raise ValueError(f"p must be a finite positive real, got {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
-
-    def _unit_cdf(self, x: np.ndarray) -> np.ndarray:
-        xx = np.maximum(x, 1.0)
-        return np.where(x >= 1.0, 1.0 - xx ** (-self.p), 0.0)
+    @staticmethod
+    def _cdf_formula(x, p):
+        return np.where(x >= 1.0, -np.expm1(-p * np.log(np.maximum(x, 1.0))), 0.0)
 
     def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -151,16 +164,11 @@ class Exponential(Distribution):
     """Exponential law with the given rate, F(t) = 1 - exp(-rate * t)."""
 
     rate: float = 1.0
+    _params = ("rate",)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (isinstance(self.rate, (int, float)) and math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate must be a finite positive real, got {self.rate!r}")
-        object.__setattr__(self, "rate", float(self.rate))
-
-    def _unit_cdf(self, x: np.ndarray) -> np.ndarray:
-        xx = np.maximum(x, 0.0)
-        return np.where(x > 0.0, -np.expm1(-self.rate * xx), 0.0)
+    @staticmethod
+    def _cdf_formula(x, rate):
+        return np.where(x > 0.0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0)
 
     def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
         return -np.log1p(-np.asarray(r, dtype=float)) / self.rate
@@ -171,16 +179,11 @@ class HalfGaussian(Distribution):
     """Law of |Z| for Z centered Gaussian with standard deviation sigma."""
 
     sigma: float = 1.0
+    _params = ("sigma",)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be a finite positive real, got {self.sigma!r}")
-        object.__setattr__(self, "sigma", float(self.sigma))
-
-    def _unit_cdf(self, x: np.ndarray) -> np.ndarray:
-        xx = np.maximum(x, 0.0)
-        return np.where(x > 0.0, sps.erf(xx / (self.sigma * _SQRT2)), 0.0)
+    @staticmethod
+    def _cdf_formula(x, sigma):
+        return np.where(x > 0.0, sps.erf(np.maximum(x, 0.0) / (sigma * _SQRT2)), 0.0)
 
     def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
         return self.sigma * _SQRT2 * sps.erfinv(np.asarray(r, dtype=float))
@@ -296,72 +299,6 @@ class Atomic(Distribution):
         return tuple(v for v, _ in self.atoms)
 
 
-class _ComponentBatch:
-    """Evaluates many component cdfs at one scalar t, grouped by family.
-
-    The grouped formulas mirror the per-family ``_unit_cdf`` implementations
-    operation for operation so results are bit-identical to calling
-    ``d.cdf(t)`` on each component.
-    """
-
-    __slots__ = ("_n", "_uni", "_par", "_exp", "_hg", "_generic")
-
-    def __init__(self, components: Sequence[Distribution]):
-        self._n = len(components)
-        uni_i, uni_s = [], []
-        par_i, par_s, par_p = [], [], []
-        exp_i, exp_s, exp_r = [], [], []
-        hg_i, hg_s, hg_sig = [], [], []
-        generic: list[tuple[int, Distribution]] = []
-        for i, d in enumerate(components):
-            if type(d) is Uniform01:
-                uni_i.append(i)
-                uni_s.append(d.scale)
-            elif type(d) is ParetoPower:
-                par_i.append(i)
-                par_s.append(d.scale)
-                par_p.append(d.p)
-            elif type(d) is Exponential:
-                exp_i.append(i)
-                exp_s.append(d.scale)
-                exp_r.append(d.rate)
-            elif type(d) is HalfGaussian:
-                hg_i.append(i)
-                hg_s.append(d.scale)
-                hg_sig.append(d.sigma)
-            else:
-                generic.append((i, d))
-        self._uni = (np.array(uni_i, dtype=np.intp), np.array(uni_s)) if uni_i else None
-        self._par = (np.array(par_i, dtype=np.intp), np.array(par_s), np.array(par_p)) if par_i else None
-        self._exp = (np.array(exp_i, dtype=np.intp), np.array(exp_s), np.array(exp_r)) if exp_i else None
-        self._hg = (np.array(hg_i, dtype=np.intp), np.array(hg_s), np.array(hg_sig)) if hg_i else None
-        self._generic = generic
-
-    def cdfs(self, t: float, left: bool = False) -> np.ndarray:
-        out = np.empty(self._n)
-        if self._uni is not None:
-            idx, scales = self._uni
-            out[idx] = np.clip(t / scales, 0.0, 1.0)
-        if self._par is not None:
-            idx, scales, ps = self._par
-            x = t / scales
-            xx = np.maximum(x, 1.0)
-            out[idx] = np.where(x >= 1.0, 1.0 - xx ** (-ps), 0.0)
-        if self._exp is not None:
-            idx, scales, rates = self._exp
-            x = t / scales
-            xx = np.maximum(x, 0.0)
-            out[idx] = np.where(x > 0.0, -np.expm1(-rates * xx), 0.0)
-        if self._hg is not None:
-            idx, scales, sigmas = self._hg
-            x = t / scales
-            xx = np.maximum(x, 0.0)
-            out[idx] = np.where(x > 0.0, sps.erf(xx / (sigmas * _SQRT2)), 0.0)
-        for i, d in self._generic:
-            out[i] = d.cdf_left_limit(t) if left else d.cdf(t)
-        return out
-
-
 def left_quantile_bisect(
     cdf: Callable[[float], float],
     r: float,
@@ -428,10 +365,10 @@ class MixtureCdf:
     def __post_init__(self) -> None:
         comps = tuple(self.components)
         if not comps:
-            raise ValueError("mixture needs at least one component")
+            raise ValueError("need at least one component")
         for c in comps:
             if not isinstance(c, Distribution):
-                raise TypeError(f"mixture components must be distributions, got {type(c).__name__}")
+                raise TypeError(f"components must be distributions, got {type(c).__name__}")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -439,20 +376,59 @@ class MixtureCdf:
         return len(self.components)
 
     @cached_property
-    def _batch(self) -> _ComponentBatch:
-        return _ComponentBatch(self.components)
+    def _batch(self) -> tuple[list, list]:
+        # One (indices, formula, scales, parameter arrays) group per
+        # parametric family, and the (index, law) pairs of the other laws.
+        members: dict[type, list[int]] = {}
+        others = []
+        for i, d in enumerate(self.components):
+            if d._cdf_formula is None:
+                others.append((i, d))
+            else:
+                members.setdefault(type(d), []).append(i)
+        groups = [
+            (
+                np.array(idx, dtype=np.intp),
+                cls._cdf_formula,
+                np.array([self.components[i].scale for i in idx]),
+                [np.array([getattr(self.components[i], name) for i in idx]) for name in cls._params],
+            )
+            for cls, idx in members.items()
+        ]
+        return groups, others
+
+    def component_cdfs(self, t, left: bool = False) -> np.ndarray:
+        """F_i(t), or F_i(t-) if ``left``, as an array of shape ``shape(t) + (n,)``.
+
+        Each parametric family is evaluated in one call of its
+        ``_cdf_formula`` on stacked parameters, the same code ``d.cdf`` runs,
+        so the values equal ``d.cdf(t)`` bit for bit as long as numpy's
+        elementwise functions do not depend on the array's shape; the test
+        suite checks that over every family.  Other laws are called one at a
+        time.
+        """
+        t = np.asarray(t, dtype=float)
+        groups, others = self._batch
+        out = np.empty(t.shape + (self.n,))
+        # Filling the transpose, components first, takes a plain row index,
+        # and a float divides faster than a 0-d array; neither changes a bit.
+        rows = out.T
+        x = t[..., None] if t.ndim else float(t)
+        for idx, formula, scales, params in groups:
+            rows[idx] = formula(x / scales, *params).T
+        for i, d in others:
+            rows[i] = d.cdf_left_limit(t.T) if left else d.cdf(t.T)
+        return out
 
     def cdf(self, t):
+        # The mean over the contiguous last axis sums each row pairwise, the
+        # same way for a scalar t as for every element of an array t.
         x, scalar = _split(t)
-        if scalar:
-            return float(self._batch.cdfs(float(x)).mean())
-        return np.mean([c.cdf(x) for c in self.components], axis=0)
+        return _wrap(self.component_cdfs(x).mean(axis=-1), scalar)
 
     def cdf_left_limit(self, t):
         x, scalar = _split(t)
-        if scalar:
-            return float(self._batch.cdfs(float(x), left=True).mean())
-        return np.mean([c.cdf_left_limit(x) for c in self.components], axis=0)
+        return _wrap(self.component_cdfs(x, left=True).mean(axis=-1), scalar)
 
     def survival(self, t):
         x, scalar = _split(t)

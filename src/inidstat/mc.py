@@ -18,8 +18,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as st
+from scipy import special as sps
 
+from ._record import Record
 from .dist import Distribution
 from .ostat import OrderStatModel
 
@@ -41,7 +42,7 @@ _MIN_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
-class SimResult:
+class SimResult(Record):
     replicates: int
     estimate: float
     ci_low: float
@@ -50,31 +51,6 @@ class SimResult:
     seed: int
     generator: str
     elapsed: float = field(compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "replicates": self.replicates,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "ci_level": self.ci_level,
-            "seed": self.seed,
-            "generator": self.generator,
-            "elapsed": self.elapsed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SimResult":
-        return cls(
-            replicates=obj["replicates"],
-            estimate=obj["estimate"],
-            ci_low=obj["ci_low"],
-            ci_high=obj["ci_high"],
-            ci_level=obj["ci_level"],
-            seed=obj["seed"],
-            generator=obj["generator"],
-            elapsed=obj["elapsed"],
-        )
 
 
 def sample(d: Distribution, u):
@@ -93,10 +69,17 @@ def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:
     (1 - ci_level)/2, and b = R - a + 1 by symmetry.
     """
     R = operator.index(replicates)
-    alpha = 1.0 - float(ci_level)
-    j = int(st.binom.ppf(alpha / 2.0, R, 0.5))
-    c = j if st.binom.cdf(j, R, 0.5) <= alpha / 2.0 else j - 1
-    a = max(c + 1, 1)
+    half_alpha = (1.0 - float(ci_level)) / 2.0
+    # Bisect for the largest c with cdf(c) <= alpha/2, keeping
+    # cdf(lo) <= alpha/2 < cdf(hi); cdf(-1) = 0 and cdf(R) = 1.
+    lo, hi = -1, R
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sps.bdtr(mid, R, 0.5) <= half_alpha:
+            lo = mid
+        else:
+            hi = mid
+    a = max(lo + 1, 1)
     return a, R - a + 1
 
 

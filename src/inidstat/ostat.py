@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from .dist import Distribution, MixtureCdf, _ComponentBatch, left_quantile_bisect
+from .dist import Distribution, MixtureCdf, left_quantile_bisect
 from .pbin import SuccessVector, tail_at_least
 
 __all__ = [
@@ -34,42 +31,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrderStatModel:
-    """n independent component laws together with a rank k, 1 <= k <= n."""
+    """n independent component laws together with a rank k, 1 <= k <= n.
+
+    The components are held, validated and batched by ``mixture``, their
+    equal-weight mixture.
+    """
 
     components: tuple[Distribution, ...]
     k: int
+    mixture: MixtureCdf = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("model needs at least one component")
-        for c in comps:
-            if not isinstance(c, Distribution):
-                raise TypeError(f"components must be distributions, got {type(c).__name__}")
+        mixture = MixtureCdf(self.components)
         k = operator.index(self.k)
-        if not 1 <= k <= len(comps):
-            raise ValueError(f"rank k must lie in [1, {len(comps)}], got {k}")
-        object.__setattr__(self, "components", comps)
+        if not 1 <= k <= mixture.n:
+            raise ValueError(f"rank k must lie in [1, {mixture.n}], got {k}")
+        object.__setattr__(self, "components", mixture.components)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "mixture", mixture)
 
     @property
     def n(self) -> int:
-        return len(self.components)
-
-    @cached_property
-    def _batch(self) -> _ComponentBatch:
-        return _ComponentBatch(self.components)
-
-    @cached_property
-    def mixture(self) -> MixtureCdf:
-        """The equal-weight mixture of the component laws."""
-        return MixtureCdf(self.components)
+        return self.mixture.n
 
     def special_points(self) -> tuple[float, ...]:
-        pts: set[float] = set()
-        for c in self.components:
-            pts.update(c.special_points())
-        return tuple(sorted(pts))
+        return self.mixture.special_points()
 
     def with_rank(self, k: int) -> "OrderStatModel":
         return dataclasses.replace(self, k=k)
@@ -77,13 +63,13 @@ class OrderStatModel:
 
 def kmin_cdf(model: OrderStatModel, t) -> float:
     """P{ k-th smallest <= t } through the counting identity."""
-    probs = model._batch.cdfs(float(t))
+    probs = model.mixture.component_cdfs(float(t))
     return tail_at_least(SuccessVector(probs), model.k)
 
 
 def kmin_strict_cdf(model: OrderStatModel, t) -> float:
     """P{ k-th smallest < t }; differs from the cdf only at atoms."""
-    probs = model._batch.cdfs(float(t), left=True)
+    probs = model.mixture.component_cdfs(float(t), left=True)
     return tail_at_least(SuccessVector(probs), model.k)
 
 

@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import Distribution, Exponential, HalfGaussian, Uniform01
+from ._record import Record
+from .dist import Distribution
 
 __all__ = [
     "GridSpec",
@@ -35,7 +36,6 @@ __all__ = [
     "check_measure_form",
     "check_weak_condition",
     "check_lemma_growth",
-    "check_logconcave_k3",
     "find_min_K",
 ]
 
@@ -45,7 +45,7 @@ GRID_NOTE = "grid certificate: necessary evidence at finitely many t, not a proo
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Log-spaced evaluation grid on [t_min, t_max], endpoints included."""
 
     t_min: float = 1e-6
@@ -84,27 +84,12 @@ class GridSpec:
         merged = np.unique(np.concatenate(pts))
         return merged[merged > 0.0]
 
-    def to_dict(self) -> dict:
-        return {
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "points_per_decade": self.points_per_decade,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GridSpec":
-        return cls(
-            t_min=obj["t_min"],
-            t_max=obj["t_max"],
-            points_per_decade=obj["points_per_decade"],
-        )
-
 
 DEFAULT_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
-class RegularityCertificate:
+class RegularityCertificate(Record):
     """Outcome of one grid check: worst margin, verdict, and fail witness."""
 
     check: str
@@ -119,32 +104,6 @@ class RegularityCertificate:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "K": self.K,
-            "grid_spec": self.grid_spec.to_dict(),
-            "n_points": self.n_points,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RegularityCertificate":
-        w = obj["witness"]
-        return cls(
-            check=obj["check"],
-            K=obj["K"],
-            grid_spec=GridSpec.from_dict(obj["grid_spec"]),
-            n_points=obj["n_points"],
-            margin=obj["margin"],
-            verdict=obj["verdict"],
-            witness=tuple(w) if w is not None else None,
-            note=obj["note"],
-        )
 
 
 class RegularityPreconditionError(ValueError):
@@ -234,7 +193,7 @@ def check_weak_condition(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID)
 
 
 @dataclass(frozen=True)
-class GrowthLemmaReport:
+class GrowthLemmaReport(Record):
     """Joint certificate for the two iterated-growth inequalities.
 
     For ell >= 1 and gamma in (0, 1):
@@ -258,37 +217,6 @@ class GrowthLemmaReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "ell": self.ell,
-            "gamma": self.gamma,
-            "grid_spec": self.grid_spec.to_dict(),
-            "n_points": self.n_points,
-            "n_survival_points": self.n_survival_points,
-            "margin_growth": self.margin_growth,
-            "margin_survival": self.margin_survival,
-            "verdict": self.verdict,
-            "witnesses": [list(w) for w in self.witnesses],
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GrowthLemmaReport":
-        return cls(
-            K=obj["K"],
-            ell=obj["ell"],
-            gamma=obj["gamma"],
-            grid_spec=GridSpec.from_dict(obj["grid_spec"]),
-            n_points=obj["n_points"],
-            n_survival_points=obj["n_survival_points"],
-            margin_growth=obj["margin_growth"],
-            margin_survival=obj["margin_survival"],
-            verdict=obj["verdict"],
-            witnesses=tuple((w[0], w[1], w[2], w[3]) for w in obj["witnesses"]),
-            note=obj["note"],
-        )
 
 
 def check_lemma_growth(
@@ -364,19 +292,8 @@ def check_lemma_growth(
     )
 
 
-def check_logconcave_k3(d: Distribution, grid_spec: GridSpec = DEFAULT_GRID) -> RegularityCertificate:
-    """Condition check at K=3 for the builtin laws arising as |eta| with
-    log-concave eta (exponential, half-Gaussian, uniform)."""
-    if not isinstance(d, (Exponential, HalfGaussian, Uniform01)):
-        raise TypeError(
-            "K=3 shortcut applies to Exponential, HalfGaussian, or Uniform01, "
-            f"got {type(d).__name__}"
-        )
-    return check_condition(d, 3.0, grid_spec)
-
-
 @dataclass(frozen=True)
-class MinKResult:
+class MinKResult(Record):
     """Smallest passing K found by bisection over a K-range.
 
     ``assumes_monotone_in_K`` records that the bisection treats the pass
@@ -389,23 +306,6 @@ class MinKResult:
     bracket: tuple[float, float]
     grid_spec: GridSpec
     assumes_monotone_in_K: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "bracket": list(self.bracket),
-            "grid_spec": self.grid_spec.to_dict(),
-            "assumes_monotone_in_K": self.assumes_monotone_in_K,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "MinKResult":
-        return cls(
-            K=obj["K"],
-            bracket=(obj["bracket"][0], obj["bracket"][1]),
-            grid_spec=GridSpec.from_dict(obj["grid_spec"]),
-            assumes_monotone_in_K=obj["assumes_monotone_in_K"],
-        )
 
 
 def find_min_K(

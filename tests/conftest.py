@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from inidstat.dist import Exponential, HalfGaussian, ParetoPower, Uniform01
+from inidstat.dist import (
+    Atomic,
+    Exponential,
+    HalfGaussian,
+    ParetoPower,
+    PiecewiseLinearCdf,
+    Uniform01,
+)
 from inidstat.ostat import OrderStatModel
 
 ACCEPT_SEED = 20260813
@@ -45,6 +52,39 @@ def random_model(rng: np.random.Generator, n_max: int) -> OrderStatModel:
             comps.append(HalfGaussian(sigma=1.0, scale=scale))
     k = int(rng.integers(1, n + 1))
     return OrderStatModel(tuple(comps), k)
+
+
+def sweep_laws(rng: np.random.Generator, n: int) -> tuple:
+    """n laws from every family, with varied parameters and scales in [0.01, 100].
+
+    About one law in five repeats the one before it, as homogeneous blocks do.
+    """
+    laws = []
+    while len(laws) < n:
+        if laws and rng.random() < 0.2:
+            laws.append(laws[-1])
+            continue
+        scale = float(10.0 ** rng.uniform(-2.0, 2.0))
+        fam = int(rng.integers(0, 6))
+        if fam == 0:
+            laws.append(Uniform01(scale=scale))
+        elif fam == 1:
+            laws.append(ParetoPower(p=float(rng.choice([0.5, 1.0, 2.0, 3.3, 4.0])), scale=scale))
+        elif fam == 2:
+            laws.append(Exponential(rate=float(rng.uniform(0.1, 10.0)), scale=scale))
+        elif fam == 3:
+            laws.append(HalfGaussian(sigma=float(rng.uniform(0.1, 10.0)), scale=scale))
+        elif fam == 4:
+            laws.append(PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.25), (2.0, 0.25), (4.0, 1.0)), scale=scale))
+        else:
+            laws.append(Atomic(atoms=((0.5, 0.3), (1.5, 0.7)), scale=scale))
+    return tuple(laws)
+
+
+def sweep_points(rng: np.random.Generator, laws, size: int) -> np.ndarray:
+    """Log-uniform t in [1e-6, 1e6], covering 1e-4..1e4 times every scale, plus the laws' jumps and knots."""
+    special = sorted({s for d in laws for s in d.special_points()})
+    return np.concatenate([10.0 ** rng.uniform(-6.0, 6.0, size), special])
 
 
 @pytest.fixture(scope="session")

@@ -280,6 +280,12 @@ class TestInstalledEntryPoints:
         assert proc.returncode == 0
         assert "check-condition" in proc.stdout
 
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats would be the largest single cost of every cold start.
+        code = "import inidstat.cli, sys; sys.exit('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_module_invocation(self, uniform3_spec):
         proc = subprocess.run(
             [sys.executable, "-m", "inidstat", "median", "--model", uniform3_spec,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from conftest import sweep_laws, sweep_points
 from inidstat.dist import (
     Atomic,
     Exponential,
@@ -67,6 +68,14 @@ class TestCdf:
             vals = d.cdf(t)
             assert np.all(np.diff(vals) >= 0.0)
             assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+    def test_pareto_relative_accuracy_near_support_start(self):
+        # 1 - x**(-p) cancels near x = 1; the cdf must keep its relative accuracy.
+        for p in (0.5, 1.0, 2.0, 3.3):
+            for h in 10.0 ** -np.arange(1, 13):
+                h = (1.0 + h) - 1.0  # so that 1 + h is exact
+                expect = -math.expm1(-p * math.log1p(h))
+                assert ParetoPower(p=p).cdf(1.0 + h) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
     def test_pareto_support_starts_at_scale(self):
         d = ParetoPower(p=1.0, scale=5.0)
@@ -194,11 +203,28 @@ class TestMixture:
             assert mix.cdf(t) == pytest.approx(expect, rel=1e-15)
 
     def test_scalar_and_array_paths_agree(self):
-        mix = MixtureCdf((Uniform01(), Exponential(rate=1.0), HalfGaussian(sigma=2.0)))
-        ts = np.array([0.1, 0.9, 4.0])
-        arr = mix.cdf(ts)
-        for i, t in enumerate(ts):
-            assert arr[i] == mix.cdf(float(t))
+        rng = np.random.default_rng(11)
+        small = MixtureCdf((Uniform01(), Exponential(rate=1.0), HalfGaussian(sigma=2.0)))
+        wide = MixtureCdf(sweep_laws(rng, 60))
+        for mix, ts in ((small, np.array([0.1, 0.9, 4.0])), (wide, sweep_points(rng, wide.components, 2000))):
+            for f in (mix.cdf, mix.cdf_left_limit):
+                arr = f(ts)
+                assert arr.tolist() == [f(float(t)) for t in ts]
+
+    def test_component_cdfs_are_each_law_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        mix = MixtureCdf(sweep_laws(rng, 40))
+        ts = sweep_points(rng, mix.components, 300)
+        for left in (False, True):
+            laws = [d.cdf_left_limit if left else d.cdf for d in mix.components]
+            batch = mix.component_cdfs(ts, left=left)
+            assert batch.shape == (ts.size, mix.n)
+            for i, f in enumerate(laws):
+                assert batch[:, i].tolist() == f(ts).tolist()
+            grid = mix.component_cdfs(ts[:300].reshape(20, 15), left=left)
+            assert grid.tolist() == batch[:300].reshape(20, 15, mix.n).tolist()
+            for j, t in enumerate(ts):
+                assert mix.component_cdfs(float(t), left=left).tolist() == [f(float(t)) for f in laws]
 
     def test_quantile_extremes(self):
         mix = MixtureCdf((Uniform01(), Atomic(atoms=((3.0, 1.0),))))

@@ -85,6 +85,17 @@ class TestMedianCiRanks:
                 cover = st.binom.cdf(b - 1, R, 0.5) - st.binom.cdf(a - 1, R, 0.5)
                 assert cover >= level - 1e-12
 
+    def test_matches_binomial_quantile_rule(self):
+        # The rule as first written with scipy.stats: c is the largest count
+        # whose binomial(R, 1/2) cdf stays within (1 - level)/2.
+        for R in (100, 101, 1000, 4096, 25_000, 50_000, 99_999, 100_000):
+            for level in (0.9, 0.95, 0.99, 0.999):
+                half_alpha = (1.0 - level) / 2.0
+                j = int(st.binom.ppf(half_alpha, R, 0.5))
+                c = j if st.binom.cdf(j, R, 0.5) <= half_alpha else j - 1
+                a = max(c + 1, 1)
+                assert median_ci_ranks(R, level) == (a, R - a + 1), (R, level)
+
     def test_tightness(self):
         # Widening a by one rank on each side must break coverage, otherwise
         # the interval is not the tightest symmetric one.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from conftest import sweep_laws, sweep_points
 from inidstat.dist import (
     Atomic,
     Exponential,
@@ -68,26 +69,33 @@ class TestModel:
 class TestBridgeIdentity:
     """P{k-th smallest <= t} must equal the count tail with p_i = F_i(t)."""
 
+    @staticmethod
+    def cases():
+        """(laws, thresholds, ranks): the mixed model, then a seeded sweep of every family."""
+        rng = np.random.default_rng(13)
+        laws = sweep_laws(rng, 25)
+        return [
+            (mixed_model().components, (0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 7.0), range(1, 7)),
+            (laws, sweep_points(rng, laws, 400), (1, 2, 9, 13, 24, 25)),
+        ]
+
     def test_exact_equality_mixed_families(self):
-        m = mixed_model()
-        for t in (0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 7.0):
-            for k in range(1, m.n + 1):
-                mk = m.with_rank(k)
-                direct = tail_at_least(
-                    SuccessVector([c.cdf(t) for c in m.components]), k
-                )
-                assert kmin_cdf(mk, t) == direct
+        for laws, ts, ks in self.cases():
+            models = [OrderStatModel(laws, k) for k in ks]
+            for t in ts:
+                direct = SuccessVector([c.cdf(t) for c in laws])
+                for m in models:
+                    assert kmin_cdf(m, t) == tail_at_least(direct, m.k)
 
     def test_strict_version_uses_left_limits(self):
-        m = mixed_model()
-        for t in (0.25, 1.5, 2.0):
-            for k in (1, 3, 6):
-                mk = m.with_rank(k)
-                direct = tail_at_least(
-                    SuccessVector([c.cdf_left_limit(t) for c in m.components]), k
-                )
-                assert kmin_strict_cdf(mk, t) == direct
+        for laws, ts, ks in self.cases():
+            models = [OrderStatModel(laws, k) for k in ks]
+            for t in ts:
+                direct = SuccessVector([c.cdf_left_limit(t) for c in laws])
+                for m in models:
+                    assert kmin_strict_cdf(m, t) == tail_at_least(direct, m.k)
         # At a continuity point the two sides agree.
+        m = mixed_model()
         assert kmin_cdf(m, 0.8) == pytest.approx(kmin_strict_cdf(m, 0.8), abs=1e-15)
 
     def test_minimum_is_complement_of_product(self):

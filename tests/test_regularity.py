@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import CATALOGUE
-from inidstat.dist import Atomic, Exponential, HalfGaussian, ParetoPower, Uniform01
+from inidstat.dist import Atomic, Exponential, ParetoPower, Uniform01
 from inidstat.regularity import (
     DEFAULT_GRID,
     MARGIN_TOL,
@@ -16,7 +16,6 @@ from inidstat.regularity import (
     RegularityPreconditionError,
     check_condition,
     check_lemma_growth,
-    check_logconcave_k3,
     check_measure_form,
     check_weak_condition,
     find_min_K,
@@ -165,17 +164,6 @@ class TestGrowthLemma:
             check_lemma_growth(Uniform01(), 2.0, 1, 0.0)
         with pytest.raises(ValueError):
             check_lemma_growth(Uniform01(), 2.0, 1, 1.0)
-
-
-class TestLogConcaveK3:
-    def test_builtin_families(self):
-        assert check_logconcave_k3(Exponential(rate=1.0)).passed
-        assert check_logconcave_k3(HalfGaussian(sigma=1.0)).passed
-        assert check_logconcave_k3(Uniform01()).passed
-
-    def test_rejects_other_families(self):
-        with pytest.raises(TypeError):
-            check_logconcave_k3(ParetoPower(p=1.0))
 
 
 class TestMinK:
