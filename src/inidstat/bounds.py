@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ._record import Record
 from .ostat import OrderStatModel, averaged_quantile, kmin_cdf, kmin_median, kmin_strict_cdf
-from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, check_condition
+from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, check_condition_batch
 
 __all__ = [
     "SANDWICH_LOWER_EXP",
@@ -150,13 +150,9 @@ def _component_certificates(
 ) -> tuple[RegularityCertificate, ...]:
     # Repeated components are common (homogeneous blocks); certify each
     # distinct law once and share the certificate object.
-    cache: dict = {}
-    certs = []
-    for c in model.components:
-        if c not in cache:
-            cache[c] = check_condition(c, K, grid_spec)
-        certs.append(cache[c])
-    return tuple(certs)
+    distinct = list(dict.fromkeys(model.components))
+    cache = dict(zip(distinct, check_condition_batch(distinct, K, grid_spec)))
+    return tuple(cache[c] for c in model.components)
 
 
 def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID) -> TheoremReport:
@@ -210,17 +206,14 @@ def _tail_rows(model, K, t_grid, side) -> list[TailBoundRow]:
             raise ValueError(f"upper-side t must exceed K^5 = {cutoff:g}, got {t!r}")
 
     q = averaged_quantile(model)
-    rows = []
-    for t in ts:
-        threshold = t * q
-        if side == "lower":
-            exact = kmin_strict_cdf(model, threshold)
-            bound = lower_tail_bound(t, K)
-        else:
-            exact = 1.0 - kmin_cdf(model, threshold)
-            bound = upper_tail_bound(t, K)
-        rows.append(tail_row(t, side, threshold, exact, bound))
-    return rows
+    thresholds = [t * q for t in ts]
+    if side == "lower":
+        exact = kmin_strict_cdf(model, thresholds).tolist()
+        bounds = [lower_tail_bound(t, K) for t in ts]
+    else:
+        exact = (1.0 - kmin_cdf(model, thresholds)).tolist()
+        bounds = [upper_tail_bound(t, K) for t in ts]
+    return [tail_row(t, side, x, p, b) for t, x, p, b in zip(ts, thresholds, exact, bounds)]
 
 
 def verify_lower_tail(model: OrderStatModel, K, t_grid=None) -> list[TailBoundRow]:

@@ -60,11 +60,10 @@ def build_distribution(family: str, params: dict | None = None, scale: float = 1
         return Exponential(rate=params.get("rate", 1.0), scale=scale)
     if family == "half_gaussian":
         return HalfGaussian(sigma=params.get("sigma", 1.0), scale=scale)
+    # The laws check and convert their own (t, F) and (value, weight) pairs.
     if family == "piecewise_linear":
-        knots = params.get("knots", [[0.0, 0.0], [1.0, 1.0]])
-        return PiecewiseLinearCdf(knots=tuple(tuple(p) for p in knots), scale=scale)
-    atoms = params.get("atoms", [[1.0, 1.0]])
-    return Atomic(atoms=tuple(tuple(p) for p in atoms), scale=scale)
+        return PiecewiseLinearCdf(knots=params.get("knots", [[0.0, 0.0], [1.0, 1.0]]), scale=scale)
+    return Atomic(atoms=params.get("atoms", [[1.0, 1.0]]), scale=scale)
 
 
 def parse_model_spec(obj) -> OrderStatModel:

@@ -15,8 +15,10 @@ import dataclasses
 import operator
 from dataclasses import dataclass, field
 
-from .dist import Distribution, MixtureCdf, left_quantile_bisect
-from .pbin import SuccessVector, tail_at_least
+import numpy as np
+
+from .dist import Distribution, MixtureCdf, _batches_probes, left_quantile_bisect
+from .pbin import tail_at_least
 
 __all__ = [
     "OrderStatModel",
@@ -27,6 +29,12 @@ __all__ = [
     "kmax_cdf",
     "averaged_quantile",
 ]
+
+# A tail pass over T thresholds costs about n * (a + b * T * width), width
+# = min(k, n - k + 1); above this width a speculative threshold costs more
+# than the per-step fixed cost a it shares (see dist._batches_probes).  On
+# pool models, batched medians are faster at width 320 and slower at 400.
+_BATCH_MAX_WIDTH = 320
 
 
 @dataclass(frozen=True)
@@ -61,16 +69,28 @@ class OrderStatModel:
         return dataclasses.replace(self, k=k)
 
 
-def kmin_cdf(model: OrderStatModel, t) -> float:
-    """P{ k-th smallest <= t } through the counting identity."""
-    probs = model.mixture.component_cdfs(float(t))
-    return tail_at_least(SuccessVector(probs), model.k)
+def _count_tail(mixture: MixtureCdf, k: int, t, left: bool = False):
+    # P{#{i : X_i <= t} >= k}, or with X_i < t if ``left``, for a scalar or
+    # an array t; every element of t is one row of a single batched tail.
+    t = np.asarray(t, dtype=float)
+    probs = mixture.component_cdfs(t, left=left)
+    if t.ndim == 0:
+        return tail_at_least(probs, k)
+    return tail_at_least(probs.reshape(-1, mixture.n), k).reshape(t.shape)
 
 
-def kmin_strict_cdf(model: OrderStatModel, t) -> float:
+def kmin_cdf(model: OrderStatModel, t):
+    """P{ k-th smallest <= t } through the counting identity.
+
+    ``t`` may be a scalar, which gives a float, or an array, which gives an
+    array of its shape whose elements equal the scalar calls bit for bit.
+    """
+    return _count_tail(model.mixture, model.k, t)
+
+
+def kmin_strict_cdf(model: OrderStatModel, t):
     """P{ k-th smallest < t }; differs from the cdf only at atoms."""
-    probs = model.mixture.component_cdfs(float(t), left=True)
-    return tail_at_least(SuccessVector(probs), model.k)
+    return _count_tail(model.mixture, model.k, t, left=True)
 
 
 def kmin_quantile(model: OrderStatModel, r) -> float:
@@ -85,9 +105,8 @@ def kmin_quantile(model: OrderStatModel, r) -> float:
         # essential sup is the k-th smallest of the component essential sups.
         tops = sorted(c.quantile(1.0) for c in model.components)
         return float(tops[model.k - 1])
-    return left_quantile_bisect(
-        lambda t: kmin_cdf(model, t), r, candidates=model.special_points()
-    )
+    batched = _batches_probes(min(model.k, model.n - model.k + 1), _BATCH_MAX_WIDTH)
+    return left_quantile_bisect(lambda t: kmin_cdf(model, t), r, model.special_points(), _batched=batched)
 
 
 def kmin_median(model: OrderStatModel) -> float:
@@ -95,9 +114,9 @@ def kmin_median(model: OrderStatModel) -> float:
     return kmin_quantile(model, 0.5)
 
 
-def kmax_cdf(model: OrderStatModel, t) -> float:
+def kmax_cdf(model: OrderStatModel, t):
     """P{ k-th largest <= t }; the k-th largest is the (n-k+1)-th smallest."""
-    return kmin_cdf(model.with_rank(model.n - model.k + 1), t)
+    return _count_tail(model.mixture, model.n - model.k + 1, t)
 
 
 def averaged_quantile(model: OrderStatModel) -> float:

@@ -2,10 +2,19 @@
 
 Given success probabilities p_1, ..., p_n (not necessarily equal), the count
 S = sum_i 1{trial i succeeds} has the Poisson binomial law.  ``pmf`` builds the
-full law by the O(n^2) convolution recurrence; ``tail_at_least`` computes a
-single tail P{S >= k} in O(n * min(k, n - k + 1)) by truncating the recurrence:
+full law by the O(n^2) convolution recurrence; ``tail_at_least`` computes the
+tail P{S >= k} in O(n * min(k, n - k + 1)) by truncating the recurrence:
 states at or past k are absorbed (when k is small) or states past n - k
 failures are dropped and the survivors summed (when k is close to n).
+
+``tail_at_least`` also takes a (T, n) matrix, one row of probabilities per
+threshold, and returns the T tails from one pass over the n trials: the
+recurrence state holds one column per row, so the Python loop runs n times
+whatever T is, and each step does the arithmetic of T steps in three numpy
+calls.  A pass costs about n * (a + b * T * width): the fixed cost a of the
+calls, paid once instead of T times, dominates at small width.  States about
+a hundred times wider than T run one pass per row instead, which is cheaper
+there.  Every row's tail equals the tail of that row alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +36,11 @@ __all__ = [
 
 _BRUTE_FORCE_MAX_N = 20
 
+# A pass over T thresholds updates a (width, T) state with broadcasts that
+# cost numpy a fixed amount per state row; it beats T one-row passes while
+# the width is below about this many state rows per threshold.
+_ROW_WIDTH = 96
+
 
 @dataclass(frozen=True, eq=False)
 class SuccessVector:
@@ -35,11 +49,7 @@ class SuccessVector:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.p, dtype=float, copy=True).ravel()
-        if arr.size == 0:
-            raise ValueError("need at least one trial")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("success probabilities must lie in [0, 1]")
+        arr = _checked(np.array(self.p, dtype=float, copy=True).ravel())
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -54,6 +64,15 @@ class SuccessVector:
 
 
 SuccessLike = Union[SuccessVector, Sequence[float], np.ndarray]
+
+
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """``arr``, after checking that its last axis holds at least one trial, each in [0, 1]."""
+    if arr.shape[-1] == 0:
+        raise ValueError("need at least one trial")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ValueError("success probabilities must lie in [0, 1]")
+    return arr
 
 
 def _coerce(sv: SuccessLike) -> SuccessVector:
@@ -81,46 +100,74 @@ def pmf(sv: SuccessLike) -> np.ndarray:
     return out
 
 
-def tail_at_least(sv: SuccessLike, k) -> float:
+def tail_at_least(sv: SuccessLike, k):
     """P{S >= k} without building the full law.
 
     Runs the convolution recurrence over a state vector truncated to
     min(k, n - k + 1) entries, so scanning every k for one fixed vector
     costs O(n^2) overall instead of O(n^2) per tail.
+
+    ``sv`` may also be a (T, n) matrix with one vector of probabilities per
+    row; the result is then the array of the T tails, each equal bit for bit
+    to the tail of its row alone.  The rows share one pass over the n trials
+    on a (min(k, n - k + 1), T) state updated in place: n Python steps of
+    three numpy calls each, for T tails at once, unless the state is so wide
+    that a pass per row is cheaper.  A single vector is the T = 1 case and
+    returns a float.
     """
-    sv = _coerce(sv)
-    n = sv.n
+    if isinstance(sv, SuccessVector) or np.ndim(sv) != 2:
+        probs, single = _coerce(sv).p[None, :], True
+    else:
+        probs, single = _checked(np.asarray(sv, dtype=float)), False
+    rows, n = probs.shape
     k = _check_rank(k, n, allow_past_end=True)
     if k == 0:
-        return 1.0
-    if k == n + 1:
-        return 0.0
+        tails = np.ones(rows)
+    elif k == n + 1:
+        tails = np.zeros(rows)
+    elif min(k, n - k + 1) <= _ROW_WIDTH * rows:
+        tails = _truncated_tails(probs, k)
+    else:
+        # So wide a state that numpy's per-state-row cost of the broadcast
+        # update outweighs the per-call cost one pass saves: a pass per row.
+        tails = np.array([_truncated_tails(row[None, :], k)[0] for row in probs])
+    return float(tails[0]) if single else tails
 
-    if k <= n + 1 - k:
-        # Track success counts 0..k-1; mass reaching k is absorbed once and
-        # can never drop back, so the absorbed total is exactly P{S >= k}.
-        state = np.zeros(k)
-        state[0] = 1.0
-        buf = np.empty(k)
-        absorbed = 0.0
-        for pi in sv.p:
-            absorbed += state[k - 1] * pi
-            np.multiply(state, 1.0 - pi, out=buf)
-            buf[1:] += state[: k - 1] * pi
-            state, buf = buf, state
-        return float(min(absorbed, 1.0))
 
-    # Dual recurrence on failure counts 0..n-k; runs that stay within the
-    # allowance end with S >= k, so the surviving mass is the tail.
-    m = n - k
-    state = np.zeros(m + 1)
+def _truncated_tails(probs: np.ndarray, k: int) -> np.ndarray:
+    # Row i of `succ` holds trial i's success probability under every
+    # threshold; the state's columns are the thresholds, and each step
+    # updates it in place with three numpy calls.
+    rows, n = probs.shape
+    succ = np.ascontiguousarray(probs.T)
+    fail = 1.0 - succ
+    absorbing = k <= n + 1 - k
+    if absorbing:
+        # Track success counts 0..k-1 in rows 0..k-1; mass reaching k is
+        # absorbed into row k and can never drop back, so that row ends as
+        # exactly P{S >= k}.
+        size, up, stay = k + 1, succ, fail
+    else:
+        # Dual recurrence on failure counts 0..n-k; runs that stay within the
+        # allowance end with S >= k, so the surviving mass is the tail.
+        size, up, stay = n - k + 1, fail, succ
+    state = np.zeros((size, rows))
     state[0] = 1.0
-    buf = np.empty(m + 1)
-    for pi in sv.p:
-        np.multiply(state, pi, out=buf)
-        buf[1:] += state[:m] * (1.0 - pi)
-        state, buf = buf, state
-    return float(min(state.sum(), 1.0))
+    moved = np.empty((size - 1, rows))
+    below, above = state[: size - 1], state[1:]
+    # The absorbed row keeps its mass; every other row keeps its `stay` share.
+    kept = below if absorbing else state
+    for pu, ps in zip(up, stay):
+        np.multiply(below, pu, out=moved)
+        np.multiply(kept, ps, out=kept)
+        np.add(above, moved, out=above)
+    if absorbing:
+        tails = state[k]
+    else:
+        # Sum each threshold's survivors along a contiguous row, pairwise,
+        # exactly as a one-dimensional sum of that column would.
+        tails = np.ascontiguousarray(state.T).sum(axis=1)
+    return np.minimum(tails, 1.0)
 
 
 def brute_force_tail(sv: SuccessLike, k) -> float:

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._record import Record
-from .dist import Distribution
+from .dist import Distribution, MixtureCdf
 
 __all__ = [
     "GridSpec",
@@ -33,6 +33,7 @@ __all__ = [
     "RegularityPreconditionError",
     "pointwise_margins",
     "check_condition",
+    "check_condition_batch",
     "check_measure_form",
     "check_weak_condition",
     "check_lemma_growth",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-12
+
+# Grid cells (points times laws) per cdf batch in check_condition_batch,
+# which bounds its working memory whatever the number of laws.
+_BATCH_CELLS = 1 << 15
 
 GRID_NOTE = "grid certificate: necessary evidence at finitely many t, not a proof for all t > 0"
 
@@ -157,8 +162,7 @@ def pointwise_margins(
     t = grid_spec.points_for(d)
     ft = np.asarray(d.cdf(t))
     if form == "condition":
-        fkt = np.asarray(d.cdf(K * t))
-        return t, fkt * (1.0 - ft), 2.0 * ft * (1.0 - fkt), t.size
+        return (t, *_condition_sides(ft, np.asarray(d.cdf(K * t))), t.size)
     if form == "measure-form":
         fkt = np.asarray(d.cdf(K * t))
         return t, fkt - ft, ft * (1.0 - fkt), t.size
@@ -170,10 +174,47 @@ def pointwise_margins(
     raise ValueError(f"unknown inequality form {form!r}")
 
 
+def _condition_sides(ft: np.ndarray, fkt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # F(Kt)*(1-F(t)) and 2*F(t)*(1-F(Kt)), elementwise.
+    return fkt * (1.0 - ft), 2.0 * ft * (1.0 - fkt)
+
+
 def check_condition(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -> RegularityCertificate:
     """Certify F(Kt)*(1-F(t)) >= 2*F(t)*(1-F(Kt)) on the grid."""
-    t, lhs, rhs, n = pointwise_margins(d, K, grid_spec, "condition")
-    return _assemble("condition", float(K), grid_spec, t, lhs, rhs, n)
+    return check_condition_batch((d,), K, grid_spec)[0]
+
+
+def check_condition_batch(
+    laws: Sequence[Distribution], K, grid_spec: GridSpec = DEFAULT_GRID
+) -> tuple[RegularityCertificate, ...]:
+    """``check_condition`` for each law, in order.
+
+    Laws without special points share the plain grid and are evaluated in
+    chunks of about _BATCH_CELLS grid cells, each chunk in two calls of
+    ``MixtureCdf.component_cdfs``, which evaluates each family's members in
+    one call of its cdf formula, the code ``d.cdf`` runs; a law with atoms or
+    knots is checked on its own grid.  Each certificate is the one its law
+    gets alone.
+    """
+    K = _check_K(K)
+    jobs = []
+    plain = []
+    for i, d in enumerate(laws):
+        if d.special_points():
+            jobs.append((grid_spec.points_for(d), [i]))
+        else:
+            plain.append(i)
+    if plain:
+        t = grid_spec.points_for(laws[plain[0]])
+        step = max(1, _BATCH_CELLS // t.size)
+        jobs += [(t, plain[s : s + step]) for s in range(0, len(plain), step)]
+    certs: list = [None] * len(laws)
+    for t, idx in jobs:
+        mixture = MixtureCdf(tuple(laws[i] for i in idx))
+        lhs, rhs = _condition_sides(mixture.component_cdfs(t), mixture.component_cdfs(K * t))
+        for j, i in enumerate(idx):
+            certs[i] = _assemble("condition", K, grid_spec, t, lhs[:, j], rhs[:, j], t.size)
+    return tuple(certs)
 
 
 def check_measure_form(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -> RegularityCertificate:

@@ -1,0 +1,108 @@
+"""One-at-a-time reference copies of the exact engine's batched loops.
+
+The package evaluates many thresholds per pass: ``tail_at_least`` takes a
+matrix of probability rows, ``left_quantile_bisect`` asks its cdf for a batch
+of probes per call, and ``check_condition_batch`` grid-checks many laws per
+cdf call.  These are the plain loops they must reproduce bit for bit: one
+probability vector per recurrence, one cdf value per call, one law per
+certificate.
+"""
+
+import numpy as np
+
+from inidstat.regularity import MARGIN_TOL, RegularityCertificate
+
+MAX_DOUBLINGS = 200
+BISECT_ABS_TOL = 1e-12
+BISECT_REL_TOL = 1e-10
+
+
+def tail_at_least(p, k: int) -> float:
+    """P{S >= k} for one vector of success probabilities, 0 <= k <= n + 1."""
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    if k == 0:
+        return 1.0
+    if k == n + 1:
+        return 0.0
+    if k <= n + 1 - k:
+        state = np.zeros(k)
+        state[0] = 1.0
+        buf = np.empty(k)
+        absorbed = 0.0
+        for pi in p:
+            absorbed += state[k - 1] * pi
+            np.multiply(state, 1.0 - pi, out=buf)
+            buf[1:] += state[: k - 1] * pi
+            state, buf = buf, state
+        return float(min(absorbed, 1.0))
+    m = n - k
+    state = np.zeros(m + 1)
+    state[0] = 1.0
+    buf = np.empty(m + 1)
+    for pi in p:
+        np.multiply(state, pi, out=buf)
+        buf[1:] += state[:m] * (1.0 - pi)
+        state, buf = buf, state
+    return float(min(state.sum(), 1.0))
+
+
+def left_quantile(cdf, r: float, candidates=()) -> float:
+    """Left quantile by bracketed bisection, calling ``cdf`` on one float at a time."""
+    r = float(r)
+    if not 0.0 <= r <= 1.0:
+        raise ValueError("quantile order must lie in [0, 1]")
+    if r == 0.0 or cdf(0.0) >= r:
+        return 0.0
+
+    hi = 1.0
+    if cdf(hi) >= r:
+        for _ in range(MAX_DOUBLINGS):
+            if hi <= 5e-324 or cdf(hi / 2.0) < r:
+                lo = hi / 2.0
+                break
+            hi /= 2.0
+        else:
+            lo = 0.0
+    else:
+        for _ in range(MAX_DOUBLINGS):
+            hi *= 2.0
+            if cdf(hi) >= r:
+                break
+        else:
+            raise ValueError(f"quantile order {r!r} not reached below t = {hi:g}")
+        lo = hi / 2.0
+
+    while hi - lo > min(BISECT_ABS_TOL * max(1.0, hi), BISECT_REL_TOL * hi):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if cdf(mid) >= r:
+            hi = mid
+        else:
+            lo = mid
+
+    eps = min(BISECT_ABS_TOL * max(1.0, hi), BISECT_REL_TOL * hi)
+    for c in sorted(candidates):
+        if lo < c <= hi + eps and cdf(c) >= r:
+            below = float(np.nextafter(c, -np.inf))
+            if below <= lo or cdf(below) < r:
+                return float(c)
+            break
+    return float(hi)
+
+
+def condition_certificate(d, K: float, grid_spec) -> RegularityCertificate:
+    """Grid certificate of F(Kt)*(1-F(t)) >= 2*F(t)*(1-F(Kt)) from d.cdf alone."""
+    K = float(K)
+    t = grid_spec.points_for(d)
+    ft = np.asarray(d.cdf(t))
+    fkt = np.asarray(d.cdf(K * t))
+    lhs = fkt * (1.0 - ft)
+    rhs = 2.0 * ft * (1.0 - fkt)
+    margin = lhs - rhs
+    i = int(np.argmin(margin))
+    worst = float(margin[i])
+    verdict = "pass" if worst >= -MARGIN_TOL else "fail"
+    witness = (float(t[i]), float(lhs[i]), float(rhs[i])) if verdict == "fail" else None
+    return RegularityCertificate("condition", K, grid_spec, t.size, worst, verdict, witness)

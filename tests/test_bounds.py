@@ -1,8 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import sequential_engine
+from conftest import sweep_laws
+from inidstat import regularity
 from inidstat.bounds import (
     SANDWICH_LOWER_EXP,
     SANDWICH_UPPER_EXP,
@@ -18,6 +22,7 @@ from inidstat.bounds import (
 )
 from inidstat.dist import Atomic, Exponential, Uniform01
 from inidstat.ostat import OrderStatModel
+from inidstat.regularity import DEFAULT_GRID, GridSpec, check_condition, check_condition_batch
 
 
 def exp_chain(n=100, k=7):
@@ -108,6 +113,35 @@ class TestTheorem:
         rep = verify_theorem(m, 2.0)
         assert len(rep.certificates) == 5
         assert len({id(c) for c in rep.certificates}) == 1
+
+
+class TestBatchedCertificates:
+    """Certificates from chunked family batches equal per-law check_condition."""
+
+    def test_equal_to_per_law_checks(self):
+        rng = np.random.default_rng(41)
+        laws = sweep_laws(rng, 160)
+        plain = {d for d in laws if not d.special_points()}
+        assert any(isinstance(d, Atomic) for d in laws)
+        assert any(d.special_points() and not isinstance(d, Atomic) for d in laws)
+        assert len(plain) > 2 * (regularity._BATCH_CELLS // DEFAULT_GRID.points().size)
+        verdicts = set()
+        for K, grid in ((1.5, DEFAULT_GRID), (3.0, DEFAULT_GRID), (2.0, GridSpec(1e-3, 1e3, 5))):
+            want = [sequential_engine.condition_certificate(d, K, grid).to_dict() for d in laws]
+            assert [c.to_dict() for c in check_condition_batch(laws, K, grid)] == want
+            assert [check_condition(d, K, grid).to_dict() for d in laws] == want
+            verdicts.update(w["verdict"] for w in want)
+        assert verdicts == {"pass", "fail"}
+
+    def test_theorem_certificates_equal_per_law_checks(self):
+        rng = np.random.default_rng(42)
+        laws = sweep_laws(rng, 120)
+        rep = verify_theorem(OrderStatModel(laws, 40), 3.0)
+        want = [sequential_engine.condition_certificate(d, 3.0, DEFAULT_GRID).to_dict() for d in laws]
+        assert [c.to_dict() for c in rep.certificates] == want
+        first = {}
+        for d, c in zip(laws, rep.certificates):
+            assert first.setdefault(d, c) is c
 
 
 class TestLowerTail:

@@ -261,6 +261,15 @@ class TestExitCodes:
             assert cli.main(argv) == 2, argv
             capsys.readouterr()
 
+    def test_malformed_pairs_are_one_error_line(self, capsys):
+        for argv in (
+            ["check-condition", "--family", "piecewise_linear", "--knots", "[1,2]", "--K", "2"],
+            ["check-condition", "--family", "atomic", "--atoms", "[3]", "--K", "2"],
+        ):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_help_is_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import sequential_engine
 from conftest import sweep_laws, sweep_points
 from inidstat.dist import (
     Atomic,
@@ -193,6 +194,103 @@ class TestBisectionHelper:
     def test_unreachable_order(self):
         with pytest.raises(ValueError, match="not reached"):
             left_quantile_bisect(lambda t: 0.0, 0.5)
+
+
+def _step_at(x):
+    return lambda t: np.where(np.asarray(t) >= x, 1.0, 0.0)
+
+
+class TestBatchedSearch:
+    """The batched search returns what plain one-point bisection returns, bit for bit."""
+
+    @staticmethod
+    def same(cdf, r, candidates=()):
+        want = sequential_engine.left_quantile(cdf, r, candidates)
+        for batched in (True, False):
+            got = left_quantile_bisect(cdf, r, candidates, _batched=batched)
+            assert type(got) is float
+            assert got == want, (r, batched, got, want)
+
+    def test_smooth_laws(self):
+        rng = np.random.default_rng(31)
+        laws = [Exponential(rate=1.0, scale=float(10.0 ** e)) for e in (-6, -1, 0, 3, 8)]
+        laws += [d for d in sweep_laws(rng, 40) if not d.special_points()]
+        for d in laws:
+            for r in (1e-12, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-9, 1.0):
+                self.same(d.cdf, r)
+
+    def test_atoms_and_knots_snap_like_the_plain_loop(self):
+        rng = np.random.default_rng(32)
+        atomic = Atomic(atoms=((0.5, 0.3), (1.5, 0.7)), scale=3.0)
+        piecewise = PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.25), (2.0, 0.25), (4.0, 1.0)), scale=0.7)
+        mixtures = [MixtureCdf(sweep_laws(rng, 12)) for _ in range(4)]
+        mixtures.append(MixtureCdf((atomic, Uniform01(), Atomic(atoms=((2.0, 1.0),)))))
+        for f in (atomic, piecewise, *mixtures):
+            for r in (0.1, 0.25, 0.3, 0.3 + 1e-12, 0.5, 2.0 / 3.0, 0.7, 0.999):
+                self.same(f.cdf, r, f.special_points())
+                # Candidates that the bracket does not hold are skipped alike.
+                self.same(f.cdf, r, (1e-3, 1e3))
+
+    def test_mixture_quantile_at_every_size(self, monkeypatch):
+        # Mixtures of up to 1000 laws batch their probes, larger ones ask for
+        # one point per call.
+        rng = np.random.default_rng(33)
+        laws = sweep_laws(rng, 1001)
+        sizes = []
+        plain_cdf = MixtureCdf.cdf
+        for n, most in ((3, 15), (12, 15), (1000, 15), (1001, 2)):
+            mix = MixtureCdf(laws[:n])
+            for r in (0.01, 0.5, 0.93):
+                want = sequential_engine.left_quantile(mix.cdf, r, mix.special_points())
+                monkeypatch.setattr(MixtureCdf, "cdf", lambda self, t: sizes.append(np.size(t)) or plain_cdf(self, t))
+                assert mix.quantile(r) == want
+                monkeypatch.undo()
+                assert max(sizes) == most, (n, r)
+                sizes.clear()
+
+    def test_answers_near_the_smallest_subnormal(self):
+        # A jump just above 0: 200 halvings leave lo = 0, and bisection then
+        # runs down to the smallest subnormal.
+        self.same(_step_at(5e-324), 0.5)
+        self.same(_step_at(1e-310), 0.5)
+        self.same(_step_at(1e-310), 0.5, (1e-310,))
+        self.same(Uniform01(scale=1e-300).cdf, 0.5)
+        assert left_quantile_bisect(_step_at(5e-324), 0.5) == 5e-324
+
+    def test_answers_near_the_doubling_limit(self):
+        # 2**199 < 1e60 <= 2**200: reached on the last allowed doubling.
+        self.same(_step_at(1e60), 0.5, (1e60,))
+        self.same(Exponential(rate=1.0, scale=1e50).cdf, 0.5)
+        for cdf in (_step_at(1e300), lambda t: 0.0, lambda t: 0.4):
+            with pytest.raises(ValueError, match="not reached") as batched:
+                left_quantile_bisect(cdf, 0.5)
+            with pytest.raises(ValueError) as plain:
+                sequential_engine.left_quantile(cdf, 0.5)
+            assert str(batched.value) == str(plain.value)
+
+    def test_scalar_returning_cdf(self):
+        for value in (0.0, 0.4, 0.5, 1.0):
+            for r in (0.0, 0.3, 0.5):
+                if value >= r:
+                    self.same(lambda t: value, r)
+
+    def test_probes_come_in_batches(self):
+        d = Exponential(rate=1.0, scale=37.0)
+        sizes = []
+
+        def cdf(t):
+            sizes.append(np.shape(t))
+            return d.cdf(t)
+
+        left_quantile_bisect(cdf, 0.5)
+        assert all(len(s) == 1 for s in sizes)
+        assert max(sizes) == (15,)
+        plain = []
+        sequential_engine.left_quantile(lambda t: plain.append(t) or d.cdf(t), 0.5)
+        assert len(sizes) <= 16 < 40 <= len(plain)
+        sizes.clear()
+        left_quantile_bisect(cdf, 0.5, _batched=False)
+        assert len(sizes) == len(plain) - 1 and max(sizes) == (2,)
 
 
 class TestMixture:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+import sequential_engine
 from conftest import sweep_laws, sweep_points
+from inidstat import ostat
 from inidstat.dist import (
     Atomic,
     Exponential,
@@ -98,6 +100,20 @@ class TestBridgeIdentity:
         m = mixed_model()
         assert kmin_cdf(m, 0.8) == pytest.approx(kmin_strict_cdf(m, 0.8), abs=1e-15)
 
+    def test_array_thresholds_equal_scalar_calls(self):
+        for laws, ts, ks in self.cases():
+            ts = np.asarray(ts, dtype=float)
+            for k in ks:
+                m = OrderStatModel(laws, k)
+                for f in (kmin_cdf, kmin_strict_cdf):
+                    batch = f(m, ts)
+                    assert batch.shape == ts.shape
+                    alone = [f(m, float(t)) for t in ts]
+                    assert all(type(v) is float for v in alone)
+                    assert batch.tolist() == alone
+                    grid = f(m, ts[:8].reshape(2, 4))
+                    assert grid.tolist() == batch[:8].reshape(2, 4).tolist()
+
     def test_minimum_is_complement_of_product(self):
         comps = (Exponential(rate=1.0), Exponential(rate=2.0), Uniform01())
         m = OrderStatModel(components=comps, k=1)
@@ -116,11 +132,13 @@ class TestBridgeIdentity:
 class TestDuality:
     def test_kmax_equals_flipped_rank(self):
         m = mixed_model()
+        ts = np.array([0.1, 0.25, 0.5, 1.25, 1.5, 3.0])
         for k in range(1, m.n + 1):
             mk = m.with_rank(k)
             flipped = m.with_rank(m.n - k + 1)
-            for t in (0.1, 0.5, 1.25, 3.0):
-                assert kmax_cdf(mk, t) == kmin_cdf(flipped, t)
+            for t in ts:
+                assert kmax_cdf(mk, float(t)) == kmin_cdf(flipped, float(t))
+            assert kmax_cdf(mk, ts).tolist() == kmin_cdf(flipped, ts).tolist()
 
     def test_kmax_example(self):
         # Larger of two uniforms: P{max <= 1/2} = 1/4.
@@ -177,6 +195,23 @@ class TestMedianAndQuantiles:
             med = kmin_median(m)
             assert kmin_cdf(m, med) >= 0.5
             assert kmin_strict_cdf(m, med) <= 0.5 + 1e-12
+
+    def test_equals_plain_bisection_at_every_width(self, monkeypatch):
+        # Tails of width min(k, n - k + 1) up to 320 batch four bisection
+        # levels per pass, wider ones one; both return what one-point
+        # bisection on kmin_cdf returns.
+        rng = np.random.default_rng(14)
+        laws = sweep_laws(rng, 700)
+        sizes = []
+        for n, k, most in ((25, 3, 15), (25, 13, 15), (700, 40, 15), (700, 320, 15), (700, 321, 2), (700, 690, 15)):
+            m = OrderStatModel(laws[:n], k)
+            for r in (0.05, 0.5):
+                want = sequential_engine.left_quantile(lambda t: kmin_cdf(m, t), r, m.special_points())
+                monkeypatch.setattr(ostat, "kmin_cdf", lambda m, t: sizes.append(np.size(t)) or kmin_cdf(m, t))
+                assert kmin_quantile(m, r) == want
+                monkeypatch.undo()
+                assert max(sizes) == most, (n, k, r)
+                sizes.clear()
 
     def test_quantile_is_left_inverse(self):
         m = mixed_model(k=3)

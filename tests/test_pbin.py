@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import sequential_engine
 from inidstat.pbin import (
     SuccessVector,
     brute_force_tail,
@@ -104,6 +105,56 @@ class TestTail:
         assert tail_at_least(probs, k) == pytest.approx(
             brute_force_tail(probs, k), abs=1e-12
         )
+
+
+class TestBatchedTail:
+    @staticmethod
+    def rows(rng, n):
+        """Probability rows with exact zeros and ones, tiny values and plain draws."""
+        mixed = rng.random(n)
+        mixed[::3] = 0.0
+        mixed[1::3] = 1.0
+        return np.array([rng.random(n), mixed, rng.random(n) ** 40, 1.0 - rng.random(n) ** 40,
+                         np.zeros(n), np.ones(n)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 200])
+    def test_matrix_equals_rows_bit_for_bit(self, n):
+        # Every k in 0..n+1 runs the absorbing recurrence for k <= n + 1 - k
+        # and the dual one above it.
+        rng = np.random.default_rng(n)
+        probs = self.rows(rng, n)
+        for k in range(n + 2):
+            batch = tail_at_least(probs, k)
+            assert isinstance(batch, np.ndarray) and batch.shape == (probs.shape[0],)
+            alone = [tail_at_least(row, k) for row in probs]
+            assert all(type(v) is float for v in alone)
+            assert batch.tolist() == alone
+            assert alone == [sequential_engine.tail_at_least(row, k) for row in probs]
+
+    def test_wide_state_few_rows(self):
+        # States much wider than the number of rows take one pass per row.
+        rng = np.random.default_rng(5)
+        probs = self.rows(rng, 600)[:3]
+        for k in (1, 2, 150, 300, 301, 302, 450, 599, 600, 601):
+            want = [sequential_engine.tail_at_least(row, k) for row in probs]
+            assert tail_at_least(probs, k).tolist() == want
+            assert tail_at_least(probs[:1], k).tolist() == want[:1]
+
+    def test_single_vector_returns_float(self):
+        for sv in ([0.2, 0.7], np.array([0.2, 0.7]), SuccessVector([0.2, 0.7])):
+            assert type(tail_at_least(sv, 1)) is float
+        assert tail_at_least(np.array([[0.2, 0.7]]), 1).tolist() == [tail_at_least([0.2, 0.7], 1)]
+
+    def test_matrix_validation(self):
+        with pytest.raises(ValueError):
+            tail_at_least(np.array([[0.5, 1.5]]), 1)
+        with pytest.raises(ValueError):
+            tail_at_least(np.array([[0.5, np.nan]]), 1)
+        with pytest.raises(ValueError):
+            tail_at_least(np.zeros((2, 0)), 0)
+        with pytest.raises(ValueError):
+            tail_at_least(np.full((2, 3), 0.5), 5)
+        assert tail_at_least(np.zeros((0, 3)), 2).shape == (0,)
 
 
 class TestBruteForce:
