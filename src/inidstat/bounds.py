@@ -13,7 +13,9 @@ together with, for thresholds expressed as multiples t of q,
 
 All logs are natural.  Exact probabilities come from the Poisson binomial
 engine; nothing here is sampled or approximated beyond grid certification of
-the regularity precondition.
+the regularity precondition.  The model computes q once, and the three
+checks share it; the exact median search starts from q, as the theorem puts
+Med close to it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from ._record import Record
 from .ostat import OrderStatModel, averaged_quantile, kmin_cdf, kmin_median, kmin_strict_cdf
-from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, check_condition_batch
+from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, _check_K, check_condition_batch
 
 __all__ = [
     "SANDWICH_LOWER_EXP",
@@ -161,9 +163,7 @@ def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID)
     Every component cdf is first grid-certified at K; the report keeps all
     per-component certificates so a precondition failure is attributable.
     """
-    K = float(K)
-    if not (math.isfinite(K) and K > 1.0):
-        raise ValueError(f"K must be a finite real > 1, got {K!r}")
+    K = _check_K(K)
     certs = _component_certificates(model, K, grid_spec)
 
     q = averaged_quantile(model)
@@ -192,9 +192,7 @@ def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID)
 
 
 def _tail_rows(model, K, t_grid, side) -> list[TailBoundRow]:
-    K = float(K)
-    if not (math.isfinite(K) and K > 1.0):
-        raise ValueError(f"K must be a finite real > 1, got {K!r}")
+    K = _check_K(K)
     if t_grid is None:
         t_grid = default_lower_t_grid(K) if side == "lower" else default_upper_t_grid(K)
     ts = sorted(float(t) for t in t_grid)

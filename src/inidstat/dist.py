@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, Optional
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import special as sps
@@ -32,23 +33,20 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# Bracket-doubling and bisection limits for numeric quantile inversion.  The
-# stopping width is min(abs_tol * max(1, hi), rel_tol * hi) so answers stay
-# accurate in relative terms even when the quantile is far below 1.
-_MAX_DOUBLINGS = 200
+# Quantile search limits.  The stopping width is
+# min(abs_tol * max(1, hi), rel_tol * hi) so answers stay accurate in relative
+# terms even when the quantile is far below 1; answers above 2**200 (200
+# doublings of 1) are reported as not reached.
 _BISECT_ABS_TOL = 1e-12
 _BISECT_REL_TOL = 1e-10
+_LIMIT = 2.0**200
 
-# Bisection levels per cdf call in the quantile search: a call asks for the
-# 2**depth - 1 midpoints of a subtree that deep, or as many halvings or
-# doublings of the bracket.
-_PROBE_DEPTH = 4
+# The cold bracket, in the order probed, four per call, until none is left
+# inside: 0, 1, 2**-4, 2**4, 2**-8, 2**8, ..., 2**-1024, 2**200 and 5e-324.
+_LADDER = tuple(dict.fromkeys([0.0, 1.0, *(2.0**e for m in range(2, 11) for e in (-(2**m), min(2**m, 200))), 5e-324]))
 
-# A mixture cdf call evaluates n component cdfs per point on top of a fixed
-# cost; above this many components the fixed cost no longer pays for
-# speculative probes (see _batches_probes).  On pool mixtures, batched and
-# one-point searches take equal time at about 1000 to 1500 components.
-_MIXTURE_BATCH_MAX_N = 1000
+# Relative distances from a guess to the inner and outer points of the first call.
+_GUESS_NEAR, _GUESS_FAR = 2e-3, 2e-2
 
 
 def _split(x) -> tuple[np.ndarray, bool]:
@@ -119,11 +117,13 @@ class Distribution:
     def quantile(self, r):
         """Left quantile inf{t : F(t) >= r} for r in [0, 1]."""
         x, scalar = _split(r)
-        if np.any(np.isnan(x)) or np.any((x < 0.0) | (x > 1.0)):
+        # min and max propagate NaN, which fails both comparisons.
+        if not ((low := x.min(initial=1.0)) >= 0.0 and x.max(initial=0.0) <= 1.0):
             raise ValueError("quantile order must lie in [0, 1]")
         with np.errstate(divide="ignore"):
             out = self.scale * self._unit_quantile(x)
-        out = np.where(x == 0.0, 0.0, out)
+        if low == 0.0:
+            out = np.where(x == 0.0, 0.0, out)
         return _wrap(out, scalar)
 
     def special_points(self) -> tuple[float, ...]:
@@ -146,7 +146,7 @@ class Uniform01(Distribution):
         return np.clip(x, 0.0, 1.0)
 
     def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
-        return np.asarray(r, dtype=float).copy()
+        return r
 
 
 @dataclass(frozen=True)
@@ -314,129 +314,130 @@ def left_quantile_bisect(
     cdf: Callable[[np.ndarray], np.ndarray],
     r: float,
     candidates: Iterable[float] = (),
-    *,
-    _batched: bool = True,
+    guess: Optional[float] = None,
 ) -> float:
-    """Left quantile of a nondecreasing cdf on [0, inf) by bracketed bisection.
+    """Left quantile of a nondecreasing cdf on [0, inf) by a safeguarded bracketed search.
 
-    The bracket starts at [0, 1] and is halved or doubled until it holds the
-    answer, then bisected down to a width of
-    min(abs_tol * max(1, hi), rel_tol * hi).  ``candidates`` are abscissae
-    where the cdf may jump or kink; after the bracket collapses, the smallest
-    candidate inside it that already reaches ``r`` is returned so that atoms
-    come out exact rather than within the bisection tolerance.
+    The bracket lo < answer <= hi narrows until it is no wider than
+    min(abs_tol * max(1, hi), rel_tol * hi); the answer is hi, or a
+    ``candidates`` abscissa (an atom or knot) that is the exact answer.  A
+    ``guess`` makes the first call probe guess * (1 -+ 2e-3) and guess * (1
+    -+ 2e-2), or the guess and the float below it if it is a candidate.
+    Without one, or when it misses, the bracket grows through 0, 1, 2**-4,
+    2**4, 2**-8, ... up to 2**200, as cold, so a bad guess costs one call.
+    Then each call probes x and x -+ err (and the middle of a rest over half
+    the bracket), on log t while hi > 2 * lo: x interpolates the inverse
+    cdf through lo, hi and the nearest known points outside (regula falsi,
+    then quadratic and cubic), and err is its last change.  A step that does
+    not halve the bracket is followed by four evenly spaced points, or two
+    and a candidate with the float below it.
 
-    ``cdf`` must accept a 1-D array of abscissae and return their cdf values
-    (an array of the same shape, or one scalar for all of them), each equal
-    to the value at that abscissa alone.  The search asks for many points per
-    call: the next 15 halvings or doublings of the bracket, every midpoint of
-    the next four levels of bisection, or every candidate in the collapsed
-    bracket.  It then walks them exactly as plain one-point-per-call
-    bisection would, so it returns the same value as plain bisection, from
-    about a quarter of the calls.
+    ``cdf`` must accept a 1-D array of at most four abscissae and return
+    their cdf values (an array of that shape, or one scalar for all).  The
+    answer agrees with plain bisection within the stopping width.
     """
-    # The package's own searches pass _batched=_batches_probes(...): a cdf
-    # whose cost per point is large asks for one bisection level per call.
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError("quantile order must lie in [0, 1]")
     if r == 0.0:
         return 0.0
-    depth = _PROBE_DEPTH if _batched else 1
-    probes = 2**depth - 1
+    return _run_searches(cdf, [_search(r, sorted(float(c) for c in candidates), guess)])[0]
 
+
+def _run_searches(cdf, searches: list) -> list[float]:
+    # Runs _search generators side by side: each step is one cdf call on
+    # the probes of every search still running.
+    out, asks = [0.0] * len(searches), {i: next(s) for i, s in enumerate(searches)}
+    while asks:
+        ts = np.array([t for probes in asks.values() for t in probes])
+        vals = np.asarray(cdf(ts))
+        vals, pos, running = (vals if vals.shape == ts.shape else np.broadcast_to(vals, ts.shape)).tolist(), 0, {}
+        for i, probes in asks.items():
+            try:
+                running[i] = searches[i].send(vals[pos : pos + len(probes)])
+            except StopIteration as done:
+                out[i] = done.value
+            pos += len(probes)
+        asks = running
+    return out
+
+
+def _width(hi: float) -> float:
+    return min(_BISECT_ABS_TOL * max(1.0, hi), _BISECT_REL_TOL * hi)
+
+
+def _search(r: float, candidates: Sequence[float], guess: Optional[float]):
+    # The steps of left_quantile_bisect for 0 < r <= 1: yields at most four
+    # abscissae, is sent their cdf values and returns the quantile.
     known: dict[float, float] = {}
+    lo = hi = None  # cdf(lo) < r <= cdf(hi); None while unknown
 
-    def value(t: float, batch: Callable[[], list[float]]) -> float:
-        # cdf(t); on a miss, one cdf call at t and at every point of batch().
-        if t not in known:
-            ts = np.array(list(dict.fromkeys([t, *batch()])), dtype=float)
-            vals = np.asarray(cdf(ts))
-            if vals.shape != ts.shape:
-                vals = np.broadcast_to(vals, ts.shape)
-            known.update(zip(ts.tolist(), vals.tolist()))
-        return known[t]
+    def ask(ts):
+        # Evaluates the new points of ts; the least of ts inside the bracket
+        # reaching r is then hi, and the greatest below it not reaching r lo.
+        nonlocal lo, hi
+        if new := [t for t in dict.fromkeys(ts) if t not in known]:
+            known.update(zip(new, (yield new)))
+        inside = sorted(t for t in ts if (lo is None or t > lo) and (hi is None or t < hi))
+        hi = next((t for t in inside if known[t] >= r), hi)
+        lo = next((t for t in reversed(inside) if known[t] < r and (hi is None or t < hi)), lo)
 
-    def halvings(t: float) -> list[float]:
-        # The loop below probes no further once the bracket is subnormal.
-        out = []
-        while len(out) < probes - 1 and t > 5e-324:
-            t /= 2.0
-            out.append(t)
-        return out
+    if guess is not None and 0.0 < (g := float(guess)) < math.inf:
+        near = [math.nextafter(g, 0.0), g] if g in candidates else [g * (1 - _GUESS_NEAR), g * (1 + _GUESS_NEAR)]
+        yield from ask([min(t, _LIMIT) for t in (g * (1 - _GUESS_FAR), *near, g * (1 + _GUESS_FAR))])
+    if hi is None or not lo:
+        while ladder := [t for t in _LADDER if (lo is None or t > lo) and (hi is None or t < hi)][:4]:
+            yield from ask(ladder)
+            if known.get(0.0, 0.0) >= r:
+                return 0.0
+        if hi is None:
+            raise ValueError(f"quantile order {r!r} not reached below t = {_LIMIT:g}")
 
-    def doublings(t: float) -> list[float]:
-        out = []
-        while len(out) < probes - 1:
-            t *= 2.0
-            out.append(t)
-        return out
-
-    def subtree() -> list[float]:
-        # Every midpoint of the next ``depth`` levels of bisection of
-        # [lo, hi], computed as the loop below computes them.
-        level, out = [(lo, hi)], []
-        for _ in range(depth):
-            pairs = []
-            for a, b in level:
-                m = 0.5 * (a + b)
-                out.append(m)
-                pairs += [(a, m), (m, b)]
-            level = pairs
-        return out
-
-    if value(0.0, lambda: [1.0]) >= r:
-        return 0.0
-
-    hi = 1.0
-    if value(hi, lambda: []) >= r:
-        # Shrink downward so the bracket, and hence the stopping tolerance,
-        # tracks the magnitude of the answer.
-        for _ in range(_MAX_DOUBLINGS):
-            if hi <= 5e-324 or value(hi / 2.0, lambda: halvings(hi / 2.0)) < r:
-                lo = hi / 2.0
-                break
-            hi /= 2.0
+    halve = False
+    while hi - lo > _width(hi) and math.nextafter(lo, math.inf) < hi:
+        v = math.log if hi > 2.0 * lo else float
+        a, b = v(lo), v(hi)
+        w, tol = b - a, _width(hi) / (hi if v is math.log else 1.0)
+        x, err = 0.5 * (a + b), math.inf
+        if not halve:
+            # Neville's scheme for x(F) at F = r, one node more per order
+            # while the cdf values differ; x is the highest order inside.
+            outer = [max((t for t in known if 0.0 < t < lo), default=0.0), min((t for t in known if t > hi), default=0.0)]
+            outer = sorted(filter(None, outer), key=lambda t: max(a - v(t), v(t) - b))
+            xs, fs, est = [a], [known[lo]], []
+            for t in (hi, *outer):
+                if known[t] in fs:
+                    break
+                xs.append(v(t))
+                fs.append(known[t])
+                for j in range(len(fs) - 2, -1, -1):
+                    xs[j] = ((r - fs[-1]) * xs[j] - (r - fs[j]) * xs[j + 1]) / (fs[j] - fs[-1])
+                est.append(min(max(xs[0], a), b))
+            if len(est) > 1:
+                i = max((i for i, e in enumerate(est) if a < e < b), default=0)
+                x, err = est[i], abs(est[i] - est[i - 1 if i else 1])
+        exact = []
+        if 4.0 * err < w:
+            pts = [x - tol / 3.0, x + tol / 3.0] if err <= tol / 3.0 else [x - err, x, x + err]
+            left, right = x - err - a, b - x - err
+            if len(pts) > 2 and max(left, right) > 0.5 * w:
+                pts.append(a + 0.5 * left if left > right else b - 0.5 * right)
+        elif inside := candidates[bisect_right(candidates, lo) : bisect_left(candidates, hi)]:
+            c = min(inside, key=lambda c: abs(v(c) - x))
+            pts, exact = [a + w / 3.0, b - w / 3.0], [math.nextafter(c, 0.0), c]
         else:
-            lo = 0.0
-    else:
-        for _ in range(_MAX_DOUBLINGS):
-            hi *= 2.0
-            if value(hi, lambda: doublings(hi)) >= r:
-                break
-        else:
-            raise ValueError(f"quantile order {r!r} not reached below t = {hi:g}")
-        lo = hi / 2.0
+            pts = [a + w * j / 5.0 for j in range(1, 5)]
+        ts = [t for t in (*(math.exp(p) if v is math.log else p for p in pts), *exact) if lo < t < hi]
+        yield from ask(ts or [math.nextafter(lo, math.inf)])
+        halve = 4.0 * err < w and v(hi) - v(lo) > 0.5 * w
 
-    while hi - lo > min(_BISECT_ABS_TOL * max(1.0, hi), _BISECT_REL_TOL * hi):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if value(mid, subtree) >= r:
-            hi = mid
-        else:
-            lo = mid
-
-    eps = min(_BISECT_ABS_TOL * max(1.0, hi), _BISECT_REL_TOL * hi)
-    inside = [float(c) for c in sorted(candidates) if lo < c <= hi + eps]
-    with_below = [x for c in inside for x in (c, float(np.nextafter(c, -np.inf)))]
-    for c in inside:
-        if value(c, lambda: with_below) >= r:
-            below = float(np.nextafter(c, -np.inf))
-            if below <= lo or value(below, lambda: []) < r:
-                return float(c)
-            break
-    return float(hi)
-
-
-def _batches_probes(width: int, max_width: int) -> bool:
-    """Whether a quantile search should batch probes for a cdf costing about a + b * width per point.
-
-    Speculative probes pay while the fixed cost a of a call dominates, that
-    is up to ``max_width``, which each caller measures for its own cdf;
-    above it the search asks for one point per call.
-    """
-    return width <= max_width
+    # Snap to a candidate that is the exact answer.
+    top = float(hi)
+    for c in candidates[bisect_right(candidates, lo) : bisect_right(candidates, top + _width(top))]:
+        yield from ask([c, math.nextafter(c, 0.0)])
+        if known[c] >= r:
+            return float(c) if known[math.nextafter(c, 0.0)] < r or math.nextafter(c, 0.0) <= lo else top
+    return top
 
 
 @dataclass(frozen=True)
@@ -518,18 +519,21 @@ class MixtureCdf:
         return _wrap(1.0 - np.asarray(self.cdf(x)), scalar)
 
     def quantile(self, r):
+        """Left quantile by the cold search of ``left_quantile_bisect``.
+
+        The orders of an array are searched together, one cdf call per step.
+        """
         x, scalar = _split(r)
-        if not scalar:
-            return np.array([self.quantile(float(v)) for v in x.ravel()]).reshape(x.shape)
-        r = float(x)
-        if np.isnan(r) or not 0.0 <= r <= 1.0:
+        # min and max propagate NaN, which fails both comparisons.
+        if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.0):
             raise ValueError("quantile order must lie in [0, 1]")
-        if r == 0.0:
-            return 0.0
-        if r == 1.0:
-            return float(max(c.quantile(1.0) for c in self.components))
-        batched = _batches_probes(self.n, _MIXTURE_BATCH_MAX_N)
-        return left_quantile_bisect(self.cdf, r, self.special_points(), _batched=batched)
+        flat = x.ravel()
+        out = np.zeros(flat.shape)
+        if (top := flat == 1.0).any():
+            out[top] = max(c.quantile(1.0) for c in self.components)
+        inner = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+        out[inner] = _run_searches(self.cdf, [_search(v, self._special_points, None) for v in flat[inner].tolist()])
+        return _wrap(out.reshape(x.shape), scalar)
 
     def special_points(self) -> tuple[float, ...]:
         return self._special_points
@@ -537,7 +541,4 @@ class MixtureCdf:
     @cached_property
     def _special_points(self) -> tuple[float, ...]:
         # Every quantile search asks for these; build them once per mixture.
-        pts: set[float] = set()
-        for c in self.components:
-            pts.update(c.special_points())
-        return tuple(sorted(pts))
+        return tuple(sorted({s for c in self.components for s in c.special_points()}))

@@ -6,7 +6,9 @@ The bridge identity: for independent X_1, ..., X_n and any threshold t,
 
 and the count on the right is a Poisson binomial variable with success
 probabilities F_i(t).  Everything here is that identity plus the left
-generalized inverse for quantiles.
+generalized inverse for quantiles.  The median search starts from the
+paper's proxy, the averaged quantile q of order (k - 1/2)/n, which the
+theorem puts close to the median; each model computes q once.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dist import Distribution, MixtureCdf, _batches_probes, left_quantile_bisect
+from .dist import Distribution, MixtureCdf, left_quantile_bisect
 from .pbin import tail_at_least
 
 __all__ = [
@@ -29,12 +32,6 @@ __all__ = [
     "kmax_cdf",
     "averaged_quantile",
 ]
-
-# A tail pass over T thresholds costs about n * (a + b * T * width), width
-# = min(k, n - k + 1); above this width a speculative threshold costs more
-# than the per-step fixed cost a it shares (see dist._batches_probes).  On
-# pool models, batched medians are faster at width 320 and slower at 400.
-_BATCH_MAX_WIDTH = 320
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,11 @@ class OrderStatModel:
     def with_rank(self, k: int) -> "OrderStatModel":
         return dataclasses.replace(self, k=k)
 
+    @cached_property
+    def _averaged_quantile(self) -> float:
+        # Held per model, outside the fields, so equality and repr ignore it.
+        return self.mixture.quantile((self.k - 0.5) / self.n)
+
 
 def _count_tail(mixture: MixtureCdf, k: int, t, left: bool = False):
     # P{#{i : X_i <= t} >= k}, or with X_i < t if ``left``, for a scalar or
@@ -94,19 +96,18 @@ def kmin_strict_cdf(model: OrderStatModel, t):
 
 
 def kmin_quantile(model: OrderStatModel, r) -> float:
-    """Left quantile inf{ t : P{k-th smallest <= t} >= r } for 0 <= r <= 1."""
+    """Left quantile inf{ t : P{k-th smallest <= t} >= r } for 0 <= r <= 1.
+
+    The median search starts from the guess ``averaged_quantile(model)``.
+    """
     r = float(r)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("quantile order must lie in [0, 1]")
-    if r == 0.0:
-        return 0.0
     if r == 1.0:
         # The k-th smallest is below t once at least k components are; its
         # essential sup is the k-th smallest of the component essential sups.
         tops = sorted(c.quantile(1.0) for c in model.components)
         return float(tops[model.k - 1])
-    batched = _batches_probes(min(model.k, model.n - model.k + 1), _BATCH_MAX_WIDTH)
-    return left_quantile_bisect(lambda t: kmin_cdf(model, t), r, model.special_points(), _batched=batched)
+    guess = averaged_quantile(model) if r == 0.5 else None
+    return left_quantile_bisect(lambda t: kmin_cdf(model, t), r, model.special_points(), guess)
 
 
 def kmin_median(model: OrderStatModel) -> float:
@@ -124,6 +125,6 @@ def averaged_quantile(model: OrderStatModel) -> float:
 
     This is the deterministic proxy that the median of the k-th smallest is
     compared against: the left quantile of the averaged cdf at the midpoint
-    order for rank k.
+    order for rank k.  It is computed once per model.
     """
-    return model.mixture.quantile((model.k - 0.5) / model.n)
+    return model._averaged_quantile

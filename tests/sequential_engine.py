@@ -1,11 +1,12 @@
 """One-at-a-time reference copies of the exact engine's batched loops.
 
 The package evaluates many thresholds per pass: ``tail_at_least`` takes a
-matrix of probability rows, ``left_quantile_bisect`` asks its cdf for a batch
-of probes per call, and ``check_condition_batch`` grid-checks many laws per
-cdf call.  These are the plain loops they must reproduce bit for bit: one
-probability vector per recurrence, one cdf value per call, one law per
-certificate.
+matrix of probability rows and ``check_condition_batch`` grid-checks many
+laws per cdf call.  These are the plain loops they must reproduce bit for
+bit: one probability vector per recurrence, one law per certificate.
+``left_quantile`` is plain bisection, one cdf value per call; the package's
+interpolating search must meet the same left-quantile contract
+(``check_left_quantile``), not return the same float.
 """
 
 import numpy as np
@@ -90,6 +91,30 @@ def left_quantile(cdf, r: float, candidates=()) -> float:
                 return float(c)
             break
     return float(hi)
+
+
+def stopping_width(x: float) -> float:
+    """The search's stopping width at x."""
+    return min(BISECT_ABS_TOL * max(1.0, x), BISECT_REL_TOL * x)
+
+
+def check_left_quantile(cdf, r: float, got: float, candidates=()) -> None:
+    """Assert that ``got`` is the left r-quantile of ``cdf`` to the stopping width.
+
+    cdf(got) >= r, and the cdf is below r one width lower (one float lower
+    where the width is below the float spacing).  ``got`` lies within the
+    larger width of plain bisection's answer, and equals it exactly where
+    either is a candidate: an atom or a knot.
+    """
+    want = left_quantile(cdf, r, candidates)
+    assert type(got) is float
+    assert cdf(got) >= r, (r, got)
+    if got > 0.0:
+        below = min(got - stopping_width(got), float(np.nextafter(got, -np.inf)))
+        assert cdf(max(below, 0.0)) < r, (r, got)
+    assert abs(got - want) <= max(stopping_width(got), stopping_width(want)), (r, got, want)
+    if got in candidates or want in candidates:
+        assert got == want, (r, got, want)
 
 
 def condition_certificate(d, K: float, grid_spec) -> RegularityCertificate:

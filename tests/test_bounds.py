@@ -20,8 +20,8 @@ from inidstat.bounds import (
     verify_theorem,
     verify_upper_tail,
 )
-from inidstat.dist import Atomic, Exponential, Uniform01
-from inidstat.ostat import OrderStatModel
+from inidstat.dist import Atomic, Exponential, MixtureCdf, Uniform01
+from inidstat.ostat import OrderStatModel, averaged_quantile
 from inidstat.regularity import DEFAULT_GRID, GridSpec, check_condition, check_condition_batch
 
 
@@ -113,6 +113,24 @@ class TestTheorem:
         rep = verify_theorem(m, 2.0)
         assert len(rep.certificates) == 5
         assert len({id(c) for c in rep.certificates}) == 1
+
+
+class TestSharedQuantile:
+    def test_averaged_quantile_runs_once_per_model(self, monkeypatch):
+        # verify_theorem, its median search and both tail checks share one
+        # mixture quantile search.
+        searches = []
+        plain = MixtureCdf.quantile
+        monkeypatch.setattr(MixtureCdf, "quantile", lambda self, r: searches.append(r) or plain(self, r))
+        m = exp_chain()
+        report = verify_theorem(m, 2.0)
+        verify_lower_tail(m, 2.0)
+        verify_upper_tail(m, 2.0)
+        assert searches == [(m.k - 0.5) / m.n]
+        # The cached value is left out of equality and repr.
+        fresh = exp_chain()
+        assert m == fresh and repr(m) == repr(fresh)
+        assert report.q == averaged_quantile(fresh)
 
 
 class TestBatchedCertificates:

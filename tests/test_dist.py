@@ -133,6 +133,26 @@ class TestQuantile:
             with pytest.raises(ValueError):
                 Uniform01().quantile(bad)
 
+    def test_order_zero_is_positive_zero(self):
+        # Masked only when the input holds a 0 (or -0.0); the mixture too.
+        mix = MixtureCdf(ALL_FAMILIES)
+        for d in (*ALL_FAMILIES, ParetoPower(p=2.0, scale=3.0), mix):
+            for r in (0.0, -0.0):
+                assert math.copysign(1.0, d.quantile(r)) == 1.0
+            got = d.quantile(np.array([[0.5, -0.0], [0.0, 0.25]]))
+            assert got.shape == (2, 2) and got[0, 1] == got[1, 0] == 0.0
+            assert math.copysign(1.0, got[0, 1]) == math.copysign(1.0, got[1, 0]) == 1.0
+            assert got[0, 0] == d.quantile(0.5) and got[1, 1] == d.quantile(0.25)
+            assert d.quantile(np.array([])).shape == (0,)
+
+    def test_domain_errors_in_arrays(self):
+        for d in (Uniform01(), ParetoPower(p=2.0), MixtureCdf(ALL_FAMILIES)):
+            for bad in (-0.1, 1.1, math.nan):
+                with pytest.raises(ValueError, match="must lie in"):
+                    d.quantile(np.array([0.2, bad, 0.7]))
+                with pytest.raises(ValueError, match="must lie in"):
+                    d.quantile(bad)
+
     def test_piecewise_flat_segment_lands_left(self):
         d = PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.25), (2.0, 0.25), (4.0, 1.0)))
         assert d.quantile(0.25) == 1.0
@@ -201,15 +221,24 @@ def _step_at(x):
 
 
 class TestBatchedSearch:
-    """The batched search returns what plain one-point bisection returns, bit for bit."""
+    """The search meets the left-quantile contract from a few probes per cdf call.
+
+    Plain bisection (``sequential_engine.left_quantile``) is the reference:
+    the answers agree within the stopping width, and exactly at atoms and
+    knots.
+    """
 
     @staticmethod
-    def same(cdf, r, candidates=()):
-        want = sequential_engine.left_quantile(cdf, r, candidates)
-        for batched in (True, False):
-            got = left_quantile_bisect(cdf, r, candidates, _batched=batched)
-            assert type(got) is float
-            assert got == want, (r, batched, got, want)
+    def agrees(cdf, r, candidates=(), guess=None):
+        got = left_quantile_bisect(cdf, r, candidates, guess)
+        sequential_engine.check_left_quantile(cdf, r, got, candidates)
+        return got
+
+    @staticmethod
+    def counted(cdf):
+        # cdf, and the number of points of each call made to it.
+        sizes = []
+        return (lambda t: sizes.append(np.size(t)) or cdf(t)), sizes
 
     def test_smooth_laws(self):
         rng = np.random.default_rng(31)
@@ -217,7 +246,7 @@ class TestBatchedSearch:
         laws += [d for d in sweep_laws(rng, 40) if not d.special_points()]
         for d in laws:
             for r in (1e-12, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-9, 1.0):
-                self.same(d.cdf, r)
+                self.agrees(d.cdf, r)
 
     def test_atoms_and_knots_snap_like_the_plain_loop(self):
         rng = np.random.default_rng(32)
@@ -227,70 +256,132 @@ class TestBatchedSearch:
         mixtures.append(MixtureCdf((atomic, Uniform01(), Atomic(atoms=((2.0, 1.0),)))))
         for f in (atomic, piecewise, *mixtures):
             for r in (0.1, 0.25, 0.3, 0.3 + 1e-12, 0.5, 2.0 / 3.0, 0.7, 0.999):
-                self.same(f.cdf, r, f.special_points())
+                self.agrees(f.cdf, r, f.special_points())
                 # Candidates that the bracket does not hold are skipped alike.
-                self.same(f.cdf, r, (1e-3, 1e3))
+                self.agrees(f.cdf, r, (1e-3, 1e3))
+        assert self.agrees(atomic.cdf, 0.5, atomic.special_points()) == 4.5
+        assert self.agrees(piecewise.cdf, 0.25, piecewise.special_points()) == 0.7
 
     def test_mixture_quantile_at_every_size(self, monkeypatch):
-        # Mixtures of up to 1000 laws batch their probes, larger ones ask for
-        # one point per call.
+        # Every mixture size asks for at most four points per cdf call.
         rng = np.random.default_rng(33)
         laws = sweep_laws(rng, 1001)
         sizes = []
         plain_cdf = MixtureCdf.cdf
-        for n, most in ((3, 15), (12, 15), (1000, 15), (1001, 2)):
+        for n in (3, 12, 1000, 1001):
             mix = MixtureCdf(laws[:n])
             for r in (0.01, 0.5, 0.93):
-                want = sequential_engine.left_quantile(mix.cdf, r, mix.special_points())
                 monkeypatch.setattr(MixtureCdf, "cdf", lambda self, t: sizes.append(np.size(t)) or plain_cdf(self, t))
-                assert mix.quantile(r) == want
+                got = mix.quantile(r)
                 monkeypatch.undo()
-                assert max(sizes) == most, (n, r)
+                sequential_engine.check_left_quantile(mix.cdf, r, got, mix.special_points())
+                assert 1 <= max(sizes) <= 4, (n, r)
                 sizes.clear()
 
+    def test_mixture_quantile_on_an_array(self, monkeypatch):
+        # 2,000 orders, 0 and 1 among them, searched together: each element
+        # equals the scalar call (checked on every fifth), and each step is
+        # one cdf call on the probes of every order.
+        rng = np.random.default_rng(34)
+        mix = MixtureCdf(sweep_laws(rng, 30))
+        rs = np.concatenate([[0.0, 1.0, 0.25, 0.3], rng.uniform(0.0, 1.0, 1996)]).reshape(40, 50)
+        calls = []
+        plain_cdf = MixtureCdf.cdf
+        monkeypatch.setattr(MixtureCdf, "cdf", lambda self, t: calls.append(np.size(t)) or plain_cdf(self, t))
+        got = mix.quantile(rs)
+        monkeypatch.undo()
+        assert got.shape == rs.shape
+        assert got.ravel()[::5].tolist() == [mix.quantile(r) for r in rs.ravel()[::5].tolist()]
+        assert got[0, 0] == 0.0 and got[0, 1] == max(d.quantile(1.0) for d in mix.components)
+        assert len(calls) < 40 and max(calls) <= 4 * rs.size
+        for r, q in zip(rs.ravel()[2:50].tolist(), got.ravel()[2:50].tolist()):
+            sequential_engine.check_left_quantile(mix.cdf, r, q, mix.special_points())
+
     def test_answers_near_the_smallest_subnormal(self):
-        # A jump just above 0: 200 halvings leave lo = 0, and bisection then
-        # runs down to the smallest subnormal.
-        self.same(_step_at(5e-324), 0.5)
-        self.same(_step_at(1e-310), 0.5)
-        self.same(_step_at(1e-310), 0.5, (1e-310,))
-        self.same(Uniform01(scale=1e-300).cdf, 0.5)
+        # A jump just above 0: the cold bracket runs down to the smallest
+        # subnormal.
+        self.agrees(_step_at(5e-324), 0.5)
+        self.agrees(_step_at(1e-310), 0.5)
+        assert self.agrees(_step_at(1e-310), 0.5, (1e-310,)) == 1e-310
+        self.agrees(Uniform01(scale=1e-300).cdf, 0.5)
         assert left_quantile_bisect(_step_at(5e-324), 0.5) == 5e-324
 
     def test_answers_near_the_doubling_limit(self):
-        # 2**199 < 1e60 <= 2**200: reached on the last allowed doubling.
-        self.same(_step_at(1e60), 0.5, (1e60,))
-        self.same(Exponential(rate=1.0, scale=1e50).cdf, 0.5)
+        # 2**199 < 1e60 <= 2**200: reached at the last point of the bracket.
+        assert self.agrees(_step_at(1e60), 0.5, (1e60,)) == 1e60
+        self.agrees(Exponential(rate=1.0, scale=1e50).cdf, 0.5)
         for cdf in (_step_at(1e300), lambda t: 0.0, lambda t: 0.4):
-            with pytest.raises(ValueError, match="not reached") as batched:
-                left_quantile_bisect(cdf, 0.5)
-            with pytest.raises(ValueError) as plain:
-                sequential_engine.left_quantile(cdf, 0.5)
-            assert str(batched.value) == str(plain.value)
+            for guess in (None, 1.0, 1e100):
+                with pytest.raises(ValueError, match="not reached") as batched:
+                    left_quantile_bisect(cdf, 0.5, guess=guess)
+                with pytest.raises(ValueError) as plain:
+                    sequential_engine.left_quantile(cdf, 0.5)
+                assert str(batched.value) == str(plain.value)
 
     def test_scalar_returning_cdf(self):
         for value in (0.0, 0.4, 0.5, 1.0):
             for r in (0.0, 0.3, 0.5):
                 if value >= r:
-                    self.same(lambda t: value, r)
+                    self.agrees(lambda t: value, r)
+                    self.agrees(lambda t: value, r, guess=3.0)
 
     def test_probes_come_in_batches(self):
         d = Exponential(rate=1.0, scale=37.0)
-        sizes = []
-
-        def cdf(t):
-            sizes.append(np.shape(t))
-            return d.cdf(t)
-
+        cdf, sizes = self.counted(d.cdf)
         left_quantile_bisect(cdf, 0.5)
-        assert all(len(s) == 1 for s in sizes)
-        assert max(sizes) == (15,)
+        assert all(1 <= s <= 4 for s in sizes)
         plain = []
         sequential_engine.left_quantile(lambda t: plain.append(t) or d.cdf(t), 0.5)
-        assert len(sizes) <= 16 < 40 <= len(plain)
+        assert len(sizes) <= 8 < 40 <= len(plain)
         sizes.clear()
-        left_quantile_bisect(cdf, 0.5, _batched=False)
-        assert len(sizes) == len(plain) - 1 and max(sizes) == (2,)
+        left_quantile_bisect(cdf, 0.5, guess=37.0 * math.log(2.0) * 1.001)
+        assert len(sizes) <= 3 and max(sizes) <= 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        log_scale=hst.floats(-200.0, 50.0),
+        r=hst.floats(1e-12, 1.0),
+        log_miss=hst.floats(-8.0, 8.0),
+    )
+    def test_random_mixtures_and_guesses(self, seed, log_scale, r, log_miss):
+        rng = np.random.default_rng(seed)
+        mix = MixtureCdf(tuple(d.scaled(10.0**log_scale) for d in sweep_laws(rng, int(rng.integers(1, 8)))))
+        try:
+            q = sequential_engine.left_quantile(mix.cdf, r, mix.special_points())
+        except ValueError:
+            return  # not reached below 2**200
+        for guess in (None, q, q * 10.0**log_miss):
+            self.agrees(mix.cdf, r, mix.special_points(), guess)
+
+    def test_adversarial_guesses(self):
+        # A guess off by 1e6 either way, or of 0, costs at most one call
+        # more than no guess; a guess on a flat stretch at level r, or on a
+        # step, still gives the left end.
+        flat = PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.25), (2.0, 0.25), (4.0, 1.0)), scale=0.7)
+        rng = np.random.default_rng(35)
+        cases = [
+            (Exponential(rate=1.0, scale=37.0).cdf, 0.5, (), 37.0 * math.log(2.0)),
+            (MixtureCdf(sweep_laws(rng, 20)).cdf, 0.4, (), None),
+            (flat.cdf, 0.25, flat.special_points(), 0.7),
+            (_step_at(3.0), 0.5, (3.0,), 3.0),
+            (_step_at(3.0), 0.5, (), 3.0),
+        ]
+        for cdf, r, candidates, answer in cases:
+            cold, cold_sizes = self.counted(cdf)
+            left_quantile_bisect(cold, r, candidates)
+            answer = answer or left_quantile_bisect(cdf, r, candidates)
+            for guess in (answer * 1e6, answer / 1e6, 0.0, answer):
+                warm, sizes = self.counted(cdf)
+                sequential_engine.check_left_quantile(cdf, r, left_quantile_bisect(warm, r, candidates, guess), candidates)
+                assert len(sizes) <= len(cold_sizes) + 1, (r, guess, len(sizes), len(cold_sizes))
+        # Guesses inside the flat stretch and at either end of the step.
+        for guess in (0.8, 1.05, 1.4, 0.7 * 1.02):
+            assert self.agrees(flat.cdf, 0.25, flat.special_points(), guess) == 0.7
+            self.agrees(flat.cdf, 0.25, (), guess)
+        for guess in (3.0, float(np.nextafter(3.0, 0.0)), 2.9, 3.1):
+            assert self.agrees(_step_at(3.0), 0.5, (3.0,), guess) == 3.0
+            self.agrees(_step_at(3.0), 0.5, (), guess)
 
 
 class TestMixture:

@@ -196,22 +196,39 @@ class TestMedianAndQuantiles:
             assert kmin_cdf(m, med) >= 0.5
             assert kmin_strict_cdf(m, med) <= 0.5 + 1e-12
 
-    def test_equals_plain_bisection_at_every_width(self, monkeypatch):
-        # Tails of width min(k, n - k + 1) up to 320 batch four bisection
-        # levels per pass, wider ones one; both return what one-point
-        # bisection on kmin_cdf returns.
+    def test_meets_the_quantile_contract_at_every_width(self, monkeypatch):
+        # Tails of every width min(k, n - k + 1) get at most four thresholds
+        # per pass, and the answer agrees with one-point bisection on
+        # kmin_cdf within the stopping width.
         rng = np.random.default_rng(14)
         laws = sweep_laws(rng, 700)
         sizes = []
-        for n, k, most in ((25, 3, 15), (25, 13, 15), (700, 40, 15), (700, 320, 15), (700, 321, 2), (700, 690, 15)):
+        for n, k in ((25, 3), (25, 13), (700, 40), (700, 320), (700, 321), (700, 690)):
             m = OrderStatModel(laws[:n], k)
             for r in (0.05, 0.5):
-                want = sequential_engine.left_quantile(lambda t: kmin_cdf(m, t), r, m.special_points())
                 monkeypatch.setattr(ostat, "kmin_cdf", lambda m, t: sizes.append(np.size(t)) or kmin_cdf(m, t))
-                assert kmin_quantile(m, r) == want
+                got = kmin_quantile(m, r)
                 monkeypatch.undo()
-                assert max(sizes) == most, (n, k, r)
+                sequential_engine.check_left_quantile(lambda t: kmin_cdf(m, t), r, got, m.special_points())
+                assert 1 <= max(sizes) <= 4, (n, k, r)
                 sizes.clear()
+
+    def test_median_search_starts_from_the_averaged_quantile(self, monkeypatch):
+        # The first call brackets q; at most 8 cdf calls of at most 4 points
+        # per median, at widths 3, 320, 321 and 2,500.
+        rng = np.random.default_rng(15)
+        laws = sweep_laws(rng, 5000)
+        calls = []
+        for n, k in ((25, 3), (700, 320), (700, 321), (5000, 2500)):
+            m = OrderStatModel(laws[:n], k)
+            monkeypatch.setattr(ostat, "kmin_cdf", lambda m, t: calls.append(np.array(t)) or kmin_cdf(m, t))
+            med = kmin_median(m)
+            monkeypatch.undo()
+            assert len(calls) <= 8 and max(c.size for c in calls) <= 4, (n, k, len(calls))
+            assert calls[0].min() < averaged_quantile(m) < calls[0].max()
+            calls.clear()
+            at, below = kmin_cdf(m, np.array([med, med - sequential_engine.stopping_width(med)]))
+            assert at >= 0.5 > below
 
     def test_quantile_is_left_inverse(self):
         m = mixed_model(k=3)
