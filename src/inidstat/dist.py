@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import special as sps
 
 __all__ = [
     "Distribution",
@@ -110,7 +109,10 @@ class Distribution:
         return _wrap(self._unit_cdf_left(x / self.scale), scalar)
 
     def survival(self, t):
-        """P{X > t}."""
+        """P{X > t} as ``1 - cdf(t)``: accurate in absolute terms only.
+
+        ``Exponential(1).survival(50.0)`` returns 0.0; the true value is 1.9e-22.
+        """
         x, scalar = _split(t)
         return _wrap(1.0 - self._unit_cdf(x / self.scale), scalar)
 
@@ -194,10 +196,15 @@ class HalfGaussian(Distribution):
 
     @staticmethod
     def _cdf_formula(x, sigma):
-        return np.where(x > 0.0, sps.erf(np.maximum(x, 0.0) / (sigma * _SQRT2)), 0.0)
+        # scipy.special is loaded on first use, so laws without it start fast.
+        from scipy.special import erf
+
+        return np.where(x > 0.0, erf(np.maximum(x, 0.0) / (sigma * _SQRT2)), 0.0)
 
     def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
-        return self.sigma * _SQRT2 * sps.erfinv(np.asarray(r, dtype=float))
+        from scipy.special import erfinv
+
+        return self.sigma * _SQRT2 * erfinv(np.asarray(r, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -515,6 +522,7 @@ class MixtureCdf:
         return _wrap(self.component_cdfs(x, left=True).mean(axis=-1), scalar)
 
     def survival(self, t):
+        """P{X > t} as ``1 - cdf(t)``, accurate in absolute terms only, like ``Distribution.survival``."""
         x, scalar = _split(t)
         return _wrap(1.0 - np.asarray(self.cdf(x)), scalar)
 

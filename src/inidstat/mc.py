@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sps
 
 from ._record import Record
 from .dist import Distribution
@@ -68,6 +67,8 @@ def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:
     a is the largest rank whose binomial(R, 1/2) cdf at a-1 stays within
     (1 - ci_level)/2, and b = R - a + 1 by symmetry.
     """
+    from scipy.special import bdtr
+
     R = operator.index(replicates)
     half_alpha = (1.0 - float(ci_level)) / 2.0
     # Bisect for the largest c with cdf(c) <= alpha/2, keeping
@@ -75,7 +76,7 @@ def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:
     lo, hi = -1, R
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if sps.bdtr(mid, R, 0.5) <= half_alpha:
+        if bdtr(mid, R, 0.5) <= half_alpha:
             lo = mid
         else:
             hi = mid

@@ -38,6 +38,14 @@ def exp2_spec(tmp_path):
     return str(path)
 
 
+def _scipy_after(code):
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    code += "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestBuildDistribution:
     def test_families(self):
         assert cli.build_distribution("uniform01") == Uniform01()
@@ -294,6 +302,35 @@ class TestInstalledEntryPoints:
         code = "import inidstat.cli, sys; sys.exit('scipy.stats' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_leaves_out_scipy(self):
+        assert _scipy_after("import inidstat.cli") == []
+
+    @pytest.mark.parametrize("argv", [
+        ["median", "--model", "{uniform3}"],
+        ["quantile", "--model", "{exp2}", "--r", "0.3"],
+        ["min-k", "--family", "uniform01"],
+        ["oracle", "--seed", "1", "--trials", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_subcommands_without_a_half_gaussian_leave_out_scipy(self, argv, uniform3_spec, exp2_spec, tmp_path):
+        argv = [a.format(uniform3=uniform3_spec, exp2=exp2_spec) for a in argv]
+        argv += ["--out", str(tmp_path / "out.txt")]
+        code = f"from inidstat import cli; assert cli.main({argv!r}) == 0"
+        assert _scipy_after(code) == []
+
+    def test_scipy_loads_on_first_use_with_the_same_bits(self):
+        code = (
+            "import math, sys\n"
+            "from inidstat import HalfGaussian\n"
+            "from inidstat.mc import median_ci_ranks\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "d = HalfGaussian(sigma=2)\n"
+            "got = (d.cdf(1.5), d.quantile(0.3), median_ci_ranks(1001, 0.99))\n"
+            "from scipy.special import erf, erfinv\n"
+            "want = (erf(1.5 / (2 * math.sqrt(2.0))), 2 * math.sqrt(2.0) * erfinv(0.3), (460, 542))\n"
+            "assert got == want, (got, want)\n"
+        )
+        assert "scipy.special" in _scipy_after(code)
 
     def test_module_invocation(self, uniform3_spec):
         proc = subprocess.run(
