@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -488,27 +488,44 @@ class MixtureCdf:
         ]
         return groups, others
 
-    def component_cdfs(self, t, left: bool = False) -> np.ndarray:
-        """F_i(t), or F_i(t-) if ``left``, as an array of shape ``shape(t) + (n,)``.
+    def family_blocks(
+        self, t, left: bool = False, cells: Optional[int] = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (indices, values): ``values[j]`` is F_i(t), or F_i(t-) if ``left``, for i = indices[j].
 
+        ``values`` has shape ``(len(indices),) + shape(t)``, one law per row.
         Each parametric family is evaluated in one call of its
         ``_cdf_formula`` on stacked parameters, the same code ``d.cdf`` runs,
-        so the values equal ``d.cdf(t)`` bit for bit as long as numpy's
-        elementwise functions do not depend on the array's shape; the test
-        suite checks that over every family.  Other laws are called one at a
-        time.
+        or, if ``cells`` is given, in one call per run of at most
+        ``cells // t.size`` members.  The values equal ``d.cdf(t)`` bit for
+        bit as long as numpy's elementwise functions do not depend on the
+        array's shape; the test suite checks that over every family.  Other
+        laws come one at a time.
         """
         t = np.asarray(t, dtype=float)
         groups, others = self._batch
-        out = np.empty(t.shape + (self.n,))
-        # Filling the transpose, components first, takes a plain row index,
-        # and a float divides faster than a 0-d array; neither changes a bit.
-        rows = out.T
-        x = t[..., None] if t.ndim else float(t)
+        # A float divides faster than a 0-d array, and changes no bit.
+        x = t if t.ndim else float(t)
         for idx, formula, scales, params in groups:
-            rows[idx] = formula(x / scales, *params).T
+            step = idx.size if cells is None else max(1, cells // max(1, t.size))
+            for s in range(0, idx.size, step):
+                # The members' parameters as a column against the points.
+                run = (slice(s, s + step),) + (None,) * t.ndim
+                yield idx[run[0]], formula(x / scales[run], *(p[run] for p in params))
         for i, d in others:
-            rows[i] = d.cdf_left_limit(t.T) if left else d.cdf(t.T)
+            yield np.array([i]), np.asarray(d.cdf_left_limit(t) if left else d.cdf(t))[None]
+
+    def component_cdfs(self, t, left: bool = False) -> np.ndarray:
+        """F_i(t), or F_i(t-) if ``left``, as an array of shape ``shape(t) + (n,)``.
+
+        The values are those of ``family_blocks``.
+        """
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + (self.n,))
+        # Filling a view with the components first takes a plain row index.
+        by_component = out.transpose(t.ndim, *range(t.ndim))
+        for idx, values in self.family_blocks(t, left):
+            by_component[idx] = values
         return out
 
     def cdf(self, t):

@@ -15,6 +15,19 @@ calls.  A pass costs about n * (a + b * T * width): the fixed cost a of the
 calls, paid once instead of T times, dominates at small width.  States about
 a hundred times wider than T run one pass per row instead, which is cheaper
 there.  Every row's tail equals the tail of that row alone, bit for bit.
+
+A pass skips the trials that change nothing in its state, so it runs only
+the steps that move mass.  On the absorbing side (small k) a trial that is
+a sure failure (p = 0) in every row is skipped, and a pass with fewer than
+k trials left returns exactly 0.  On the dual side (k near n) a trial that
+is a sure success in every row is skipped, and the f trials that are sure
+failures in every row become an offset: each shifts the state by one row,
+exactly, whatever its place in the sequence, so the state starts f rows up
+and holds only the failure counts f..n-k (the tail is exactly 0 when
+f > n - k).  Sure successes on the absorbing side stay in the recurrence:
+their absorbed mass would be added in another order.  Multiplying by 1,
+adding 0 and shifting are exact, so the skipped pass gives the same tails,
+bit for bit, as the full one.
 """
 
 from __future__ import annotations
@@ -70,7 +83,8 @@ def _checked(arr: np.ndarray) -> np.ndarray:
     """``arr``, after checking that its last axis holds at least one trial, each in [0, 1]."""
     if arr.shape[-1] == 0:
         raise ValueError("need at least one trial")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    # min and max propagate NaN, which fails both comparisons.
+    if not (arr.min(initial=1.0) >= 0.0 and arr.max(initial=0.0) <= 1.0):
         raise ValueError("success probabilities must lie in [0, 1]")
     return arr
 
@@ -114,6 +128,13 @@ def tail_at_least(sv: SuccessLike, k):
     three numpy calls each, for T tails at once, unless the state is so wide
     that a pass per row is cheaper.  A single vector is the T = 1 case and
     returns a float.
+
+    Trials that are sure in every row and change nothing in the truncated
+    state are skipped (see the module docstring): sure failures on the
+    absorbing side and sure successes on the dual side, while dual-side sure
+    failures start the state at an offset.  The side is chosen from the
+    original (n, k), and every tail is still the one the full recurrence
+    gives, bit for bit.
     """
     if isinstance(sv, SuccessVector) or np.ndim(sv) != 2:
         probs, single = _coerce(sv).p[None, :], True
@@ -139,18 +160,30 @@ def _truncated_tails(probs: np.ndarray, k: int) -> np.ndarray:
     # threshold; the state's columns are the thresholds, and each step
     # updates it in place with three numpy calls.
     rows, n = probs.shape
-    succ = np.ascontiguousarray(probs.T)
-    fail = 1.0 - succ
     absorbing = k <= n + 1 - k
+    # Only the trials that change the state take a step (see the module
+    # docstring): on the absorbing side those that may succeed in some row,
+    # on the dual side those that are also short of sure in some row.
+    possible = probs.any(axis=0)
+    succ = probs.T[possible if absorbing else possible & (probs < 1.0).any(axis=0)]
+    fail = 1.0 - succ
     if absorbing:
+        if succ.shape[0] < k:
+            # Fewer than k trials can succeed in any row: no mass reaches k.
+            return np.zeros(rows)
         # Track success counts 0..k-1 in rows 0..k-1; mass reaching k is
         # absorbed into row k and can never drop back, so that row ends as
         # exactly P{S >= k}.
         size, up, stay = k + 1, succ, fail
     else:
         # Dual recurrence on failure counts 0..n-k; runs that stay within the
-        # allowance end with S >= k, so the surviving mass is the tail.
-        size, up, stay = n - k + 1, fail, succ
+        # allowance end with S >= k, so the surviving mass is the tail.  The
+        # sure failures in every row shift the state up by `shift` rows.
+        allowance = n - k + 1
+        shift = n - int(np.count_nonzero(possible))
+        if shift >= allowance:
+            return np.zeros(rows)
+        size, up, stay = allowance - shift, fail, succ
     state = np.zeros((size, rows))
     state[0] = 1.0
     moved = np.empty((size - 1, rows))
@@ -165,8 +198,11 @@ def _truncated_tails(probs: np.ndarray, k: int) -> np.ndarray:
         tails = state[k]
     else:
         # Sum each threshold's survivors along a contiguous row, pairwise,
-        # exactly as a one-dimensional sum of that column would.
-        tails = np.ascontiguousarray(state.T).sum(axis=1)
+        # exactly as a one-dimensional sum of that column would; the zeros
+        # below the shift keep the pairwise grouping of the whole allowance.
+        survivors = np.zeros((rows, allowance))
+        survivors[:, shift:] = state.T
+        tails = survivors.sum(axis=1)
     return np.minimum(tails, 1.0)
 
 

@@ -42,7 +42,7 @@ __all__ = [
 
 MARGIN_TOL = 1e-12
 
-# Grid cells (points times laws) per cdf batch in check_condition_batch,
+# Grid cells (laws times points) per cdf block in check_condition_batch,
 # which bounds its working memory whatever the number of laws.
 _BATCH_CELLS = 1 << 15
 
@@ -134,16 +134,22 @@ def _assemble(
     lhs: np.ndarray,
     rhs: np.ndarray,
     n_points: int,
-) -> RegularityCertificate:
-    if lhs.size == 0:
+) -> list[RegularityCertificate]:
+    # One certificate per row of the (laws, points) arrays lhs and rhs, each
+    # judged on its worst margin over the points t.
+    if lhs.shape[1] == 0:
         # Nothing applicable: vacuously true.
-        return RegularityCertificate(check, K, grid_spec, n_points, math.inf, "pass", None)
+        return [RegularityCertificate(check, K, grid_spec, n_points, math.inf, "pass", None)] * lhs.shape[0]
     margin = lhs - rhs
-    i = int(np.argmin(margin))
-    worst = float(margin[i])
-    verdict = "pass" if worst >= -MARGIN_TOL else "fail"
-    witness = (float(t[i]), float(lhs[i]), float(rhs[i])) if verdict == "fail" else None
-    return RegularityCertificate(check, K, grid_spec, n_points, worst, verdict, witness)
+    at = margin.argmin(axis=1)
+    certs = []
+    for j, (i, worst) in enumerate(zip(at.tolist(), margin[np.arange(at.size), at].tolist())):
+        if worst >= -MARGIN_TOL:
+            certs.append(RegularityCertificate(check, K, grid_spec, n_points, worst, "pass", None))
+        else:
+            witness = (float(t[i]), float(lhs[j, i]), float(rhs[j, i]))
+            certs.append(RegularityCertificate(check, K, grid_spec, n_points, worst, "fail", witness))
+    return certs
 
 
 def pointwise_margins(
@@ -189,31 +195,36 @@ def check_condition_batch(
 ) -> tuple[RegularityCertificate, ...]:
     """``check_condition`` for each law, in order.
 
-    Laws without special points share the plain grid and are evaluated in
-    chunks of about _BATCH_CELLS grid cells, each chunk in two calls of
-    ``MixtureCdf.component_cdfs``, which evaluates each family's members in
-    one call of its cdf formula, the code ``d.cdf`` runs; a law with atoms or
+    Laws without special points share the plain grid and are evaluated law
+    by law in blocks, one block per family and run of about _BATCH_CELLS
+    grid cells: ``MixtureCdf.family_blocks`` calls the family's cdf formula,
+    the code ``d.cdf`` runs, once on the block's stacked parameters at t and
+    once at K*t, and each block's margins, worst points and certificates come
+    from one subtraction and one argmin over its rows.  A law with atoms or
     knots is checked on its own grid.  Each certificate is the one its law
-    gets alone.
+    gets alone, and the working memory stays near a few blocks whatever the
+    number of laws.
     """
     K = _check_K(K)
     jobs = []
     plain = []
     for i, d in enumerate(laws):
         if d.special_points():
-            jobs.append((grid_spec.points_for(d), [i]))
+            jobs.append([i])
         else:
             plain.append(i)
     if plain:
-        t = grid_spec.points_for(laws[plain[0]])
-        step = max(1, _BATCH_CELLS // t.size)
-        jobs += [(t, plain[s : s + step]) for s in range(0, len(plain), step)]
+        jobs.append(plain)
     certs: list = [None] * len(laws)
-    for t, idx in jobs:
+    for idx in jobs:
+        # The grid is built when its job runs, so only one is held at a time.
+        t = grid_spec.points_for(laws[idx[0]])
         mixture = MixtureCdf(tuple(laws[i] for i in idx))
-        lhs, rhs = _condition_sides(mixture.component_cdfs(t), mixture.component_cdfs(K * t))
-        for j, i in enumerate(idx):
-            certs[i] = _assemble("condition", K, grid_spec, t, lhs[:, j], rhs[:, j], t.size)
+        blocks = zip(mixture.family_blocks(t, cells=_BATCH_CELLS), mixture.family_blocks(K * t, cells=_BATCH_CELLS))
+        for (rows, ft), (_, fkt) in blocks:
+            lhs, rhs = _condition_sides(ft, fkt)
+            for j, cert in zip(rows.tolist(), _assemble("condition", K, grid_spec, t, lhs, rhs, t.size)):
+                certs[idx[j]] = cert
     return tuple(certs)
 
 
@@ -224,13 +235,13 @@ def check_measure_form(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -
     verdicts necessarily agree with check_condition.
     """
     t, lhs, rhs, n = pointwise_margins(d, K, grid_spec, "measure-form")
-    return _assemble("measure-form", float(K), grid_spec, t, lhs, rhs, n)
+    return _assemble("measure-form", float(K), grid_spec, t, lhs[None], rhs[None], n)[0]
 
 
 def check_weak_condition(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -> RegularityCertificate:
     """Certify F(t) >= 2*F(t/K^2) at grid points where F(t) <= 1/2."""
     t, lhs, rhs, n = pointwise_margins(d, K, grid_spec, "weak-condition")
-    return _assemble("weak-condition", float(K), grid_spec, t, lhs, rhs, n)
+    return _assemble("weak-condition", float(K), grid_spec, t, lhs[None], rhs[None], n)[0]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from inidstat.bounds import (
     verify_theorem,
     verify_upper_tail,
 )
-from inidstat.dist import Atomic, Exponential, MixtureCdf, Uniform01
+from inidstat.dist import Atomic, Exponential, HalfGaussian, MixtureCdf, Uniform01
 from inidstat.ostat import OrderStatModel, averaged_quantile
 from inidstat.regularity import DEFAULT_GRID, GridSpec, check_condition, check_condition_batch
 
@@ -150,6 +151,38 @@ class TestBatchedCertificates:
             assert [check_condition(d, K, grid).to_dict() for d in laws] == want
             verdicts.update(w["verdict"] for w in want)
         assert verdicts == {"pass", "fail"}
+
+    def test_family_longer_than_a_block(self):
+        # 100 exponentials take three blocks of the default grid; the one
+        # half-Gaussian among them is a block of its own.
+        rng = np.random.default_rng(43)
+        laws = [Exponential(rate=float(rng.uniform(0.1, 10.0)), scale=float(10.0 ** rng.uniform(-2.0, 2.0)))
+                for _ in range(100)]
+        laws.insert(37, HalfGaussian(sigma=2.0))
+        assert 100 > 2 * (regularity._BATCH_CELLS // DEFAULT_GRID.points().size)
+        for K in (1.5, 3.0):
+            want = tuple(sequential_engine.condition_certificate(d, K, DEFAULT_GRID) for d in laws)
+            got = check_condition_batch(laws, K)
+            assert got == want
+            # Near t = 0 the odds grow like t, or t^2 for the half-Gaussian:
+            # at K = 1.5 every law fails, each with its witness.
+            assert {c.verdict for c in got} == {"fail" if K == 1.5 else "pass"}
+            assert all(c.witness for c in got if not c.passed)
+
+    def test_working_memory_is_a_few_blocks(self):
+        # Peak traced memory less what the certificates keep: a few blocks of
+        # _BATCH_CELLS doubles, not an array over all 5,000 laws (30 MB) nor
+        # a grid held for each law with atoms or knots (13 MB here).
+        rng = np.random.default_rng(44)
+        laws = sweep_laws(rng, 5000)
+        tracemalloc.start()
+        try:
+            certs = check_condition_batch(laws, 3.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(certs) == 5000
+        assert peak - kept < 16 * regularity._BATCH_CELLS * 8
 
     def test_theorem_certificates_equal_per_law_checks(self):
         rng = np.random.default_rng(42)

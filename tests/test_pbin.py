@@ -140,6 +140,73 @@ class TestBatchedTail:
             assert tail_at_least(probs, k).tolist() == want
             assert tail_at_least(probs[:1], k).tolist() == want[:1]
 
+    @staticmethod
+    def assert_rows_match(probs, k):
+        # The batch, each row alone and the one-row reference, bit for bit.
+        want = [sequential_engine.tail_at_least(row, k) for row in probs]
+        assert tail_at_least(probs, k).tolist() == want
+        assert [tail_at_least(row, k) for row in probs] == want
+
+    def test_columns_sure_in_some_rows_only(self):
+        # Zeros and ones that a column has in some rows but not all stay in
+        # the recurrence; the all-zero and all-one columns are skipped.
+        rng = np.random.default_rng(7)
+        n = 30
+        probs = rng.random((5, n))
+        probs[rng.random((5, n)) < 0.3] = 0.0
+        probs[rng.random((5, n)) < 0.3] = 1.0
+        probs[:, 4] = 0.0
+        probs[:, 9] = 1.0
+        probs[:, 17] = 0.0
+        for k in range(n + 2):
+            self.assert_rows_match(probs, k)
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_dual_side_sure_failures(self, n):
+        # f trials fail in every row: the dual state starts f rows up, and
+        # the tail is exactly 0 once f exceeds the allowance n - k.
+        rng = np.random.default_rng(n)
+        for f in range(0, n + 1, n // 12):
+            probs = rng.random((4, n))
+            probs[:, rng.permutation(n)[:f]] = 0.0
+            probs[1, :] = np.where(probs[1] > 0.0, 1.0, 0.0)
+            for k in range(n // 2 + 1, n + 1):
+                self.assert_rows_match(probs, k)
+                if f > n - k:
+                    assert tail_at_least(probs, k).tolist() == [0.0] * 4
+
+    def test_absorbing_side_rows_short_of_k_trials(self):
+        # A row with fewer than k possible successes has tail exactly 0,
+        # alone and next to rows that reach k.
+        n = 16
+        probs = np.zeros((3, n))
+        probs[0, [2, 5]] = [0.5, 0.25]
+        probs[1, [2, 5, 11]] = [0.5, 1.0, 0.75]
+        probs[2] = np.linspace(0.0, 1.0, n)
+        for k in range(1, n // 2 + 1):
+            self.assert_rows_match(probs, k)
+            self.assert_rows_match(probs[:2], k)
+            self.assert_rows_match(probs[:1], k)
+        assert tail_at_least(probs[:2], 4).tolist() == [0.0, 0.0]
+
+    def test_absorbing_side_sure_successes_keep_their_order(self):
+        # Sure successes on the absorbing side add absorbed mass at their
+        # place in the sequence; the sum depends on that order to the bit.
+        rng = np.random.default_rng(9)
+        n = 200
+        probs = rng.random((6, n)) ** 3
+        probs[:, rng.permutation(n)[:25]] = 1.0
+        for k in range(1, n // 2 + 1, 3):
+            self.assert_rows_match(probs, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_extreme_ranks(self, n):
+        rng = np.random.default_rng(n + 10)
+        probs = self.rows(rng, n)
+        for k in {1, n}:
+            self.assert_rows_match(probs, k)
+            self.assert_rows_match(probs[:, ::-1], k)
+
     def test_single_vector_returns_float(self):
         for sv in ([0.2, 0.7], np.array([0.2, 0.7]), SuccessVector([0.2, 0.7])):
             assert type(tail_at_least(sv, 1)) is float
@@ -150,6 +217,9 @@ class TestBatchedTail:
             tail_at_least(np.array([[0.5, 1.5]]), 1)
         with pytest.raises(ValueError):
             tail_at_least(np.array([[0.5, np.nan]]), 1)
+        for bad in (np.inf, -np.inf, -1e-300):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                tail_at_least(np.array([[0.5, 0.5], [0.5, bad]]), 1)
         with pytest.raises(ValueError):
             tail_at_least(np.zeros((2, 0)), 0)
         with pytest.raises(ValueError):
