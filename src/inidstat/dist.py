@@ -62,17 +62,26 @@ class Distribution:
     """Base class for a non-negative scalar law with a multiplicative scale.
 
     A parametric family names its positive real parameters in ``_params`` and
-    writes its unit-scale cdf once, as ``_cdf_formula(x, *params)``.  The
-    formula broadcasts over parameter arrays, so ``MixtureCdf.component_cdfs``
-    evaluates every member of the family in one call to the same code; such
-    families are continuous.  Other families leave ``_cdf_formula`` unset and
-    override ``_unit_cdf``.
+    writes its unit-scale cdf and quantile once each, as
+    ``_cdf_formula(x, *params)`` and ``_quantile_formula(r, *params)``.  The
+    formulas broadcast over parameter arrays, so ``MixtureCdf.family_blocks``
+    and ``MixtureCdf.quantile_blocks`` evaluate every member of the family in
+    one call to the same code; such families are continuous.  A parameter
+    named in ``_scalar_params`` reaches the quantile formula as a Python
+    float, never as an array, so a quantile block holds only members that
+    share its value.  Other
+    families leave the formulas unset and override ``_unit_cdf`` and
+    ``_unit_quantile``.
     """
 
     scale: float = field(default=1.0, kw_only=True)
 
     _params: ClassVar[tuple[str, ...]] = ()
+    _scalar_params: ClassVar[tuple[str, ...]] = ()
     _cdf_formula: ClassVar[Optional[Callable[..., np.ndarray]]] = None
+    _quantile_formula: ClassVar[Optional[Callable[..., np.ndarray]]] = None
+    # Laws with atoms or knots compute theirs once, as a cached property.
+    _special_points: ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self) -> None:
         for name in ("scale", *self._params):
@@ -91,10 +100,7 @@ class Distribution:
         return self._unit_cdf(x)
 
     def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _unit_special_points(self) -> tuple[float, ...]:
-        return ()
+        return self._quantile_formula(r, *(getattr(self, name) for name in self._params))
 
     # Public surface.
 
@@ -130,7 +136,7 @@ class Distribution:
 
     def special_points(self) -> tuple[float, ...]:
         """Atom locations and cdf knots of the scaled law, ascending."""
-        return tuple(self.scale * s for s in self._unit_special_points())
+        return self._special_points
 
     def scaled(self, c: float) -> "Distribution":
         """The law of ``c * X`` for c > 0."""
@@ -147,7 +153,8 @@ class Uniform01(Distribution):
     def _cdf_formula(x):
         return np.clip(x, 0.0, 1.0)
 
-    def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _quantile_formula(r):
         return r
 
 
@@ -155,21 +162,26 @@ class Uniform01(Distribution):
 class ParetoPower(Distribution):
     """Power law F(t) = 1 - t**(-p) on [scale, inf), p > 0.
 
-    Computed as -expm1(-p * log t): free of ``pow``, whose rounding differs
-    between numpy scalars and arrays, and accurate in relative terms near
-    t = 1, where 1 - t**(-p) cancels.
+    The cdf is computed as -expm1(-p * log t): free of ``pow``, whose
+    rounding differs between numpy scalars and arrays, and accurate in
+    relative terms near t = 1, where 1 - t**(-p) cancels.  The quantile
+    (1 - r)**(-1/p) does use ``pow``, so p is a scalar parameter: at p = 1
+    numpy computes ``array ** -1.0`` through a reciprocal only when the
+    exponent is a Python float, and a broadcast exponent array differs from
+    that in the last bit for about 5% of the orders.
     """
 
     p: float = 1.0
     _params = ("p",)
+    _scalar_params = ("p",)
 
     @staticmethod
     def _cdf_formula(x, p):
         return np.where(x >= 1.0, -np.expm1(-p * np.log(np.maximum(x, 1.0))), 0.0)
 
-    def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return (1.0 - np.asarray(r, dtype=float)) ** (-1.0 / self.p)
+    @staticmethod
+    def _quantile_formula(r, p):
+        return (1.0 - r) ** (-1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -183,8 +195,9 @@ class Exponential(Distribution):
     def _cdf_formula(x, rate):
         return np.where(x > 0.0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0)
 
-    def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
-        return -np.log1p(-np.asarray(r, dtype=float)) / self.rate
+    @staticmethod
+    def _quantile_formula(r, rate):
+        return -np.log1p(-r) / rate
 
 
 @dataclass(frozen=True)
@@ -201,10 +214,11 @@ class HalfGaussian(Distribution):
 
         return np.where(x > 0.0, erf(np.maximum(x, 0.0) / (sigma * _SQRT2)), 0.0)
 
-    def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _quantile_formula(r, sigma):
         from scipy.special import erfinv
 
-        return self.sigma * _SQRT2 * erfinv(np.asarray(r, dtype=float))
+        return sigma * _SQRT2 * erfinv(r)
 
 
 @dataclass(frozen=True)
@@ -259,8 +273,9 @@ class PiecewiseLinearCdf(Distribution):
         # Orders at or below the first knot's cdf value resolve to that knot.
         return np.where(rr <= self._kf[0], self._kt[0], out)
 
-    def _unit_special_points(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.knots)
+    @cached_property
+    def _special_points(self) -> tuple[float, ...]:
+        return tuple(self.scale * t for t, _ in self.knots)
 
 
 @dataclass(frozen=True)
@@ -313,8 +328,9 @@ class Atomic(Distribution):
         idx = np.searchsorted(self._cumw, r, side="left")
         return self._values[np.minimum(idx, self._values.size - 1)]
 
-    def _unit_special_points(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.atoms)
+    @cached_property
+    def _special_points(self) -> tuple[float, ...]:
+        return tuple(self.scale * v for v, _ in self.atoms)
 
 
 def left_quantile_bisect(
@@ -468,8 +484,10 @@ class MixtureCdf:
 
     @cached_property
     def _batch(self) -> tuple[list, list]:
-        # One (indices, formula, scales, parameter arrays) group per
+        # One (indices, family, scales, parameter arrays, runs) group per
         # parametric family, and the (index, law) pairs of the other laws.
+        # The members are ordered by their scalar parameters, and each run
+        # slices out the members that share them.
         members: dict[type, list[int]] = {}
         others = []
         for i, d in enumerate(self.components):
@@ -477,16 +495,24 @@ class MixtureCdf:
                 others.append((i, d))
             else:
                 members.setdefault(type(d), []).append(i)
-        groups = [
-            (
-                np.array(idx, dtype=np.intp),
-                cls._cdf_formula,
-                np.array([self.components[i].scale for i in idx]),
-                [np.array([getattr(self.components[i], name) for i in idx]) for name in cls._params],
-            )
-            for cls, idx in members.items()
-        ]
+        groups = []
+        for cls, idx in members.items():
+            runs = [slice(0, len(idx))]
+            if cls._scalar_params:
+                keys = sorted((tuple(getattr(self.components[i], name) for name in cls._scalar_params), i) for i in idx)
+                idx = [i for _, i in keys]
+                cuts = [j for j in range(1, len(keys)) if keys[j][0] != keys[j - 1][0]]
+                runs = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(keys)])]
+            laws = [self.components[i] for i in idx]
+            params = [np.array([getattr(d, name) for d in laws]) for name in cls._params]
+            groups.append((np.array(idx, dtype=np.intp), cls, np.array([d.scale for d in laws]), params, runs))
         return groups, others
+
+    @cached_property
+    def family_order(self) -> np.ndarray:
+        """Component indices in the order ``family_blocks`` and ``quantile_blocks`` take them."""
+        groups, others = self._batch
+        return np.concatenate([idx for idx, *_ in groups] + [np.array([i for i, _ in others], dtype=np.intp)])
 
     def family_blocks(
         self, t, left: bool = False, cells: Optional[int] = None
@@ -506,14 +532,43 @@ class MixtureCdf:
         groups, others = self._batch
         # A float divides faster than a 0-d array, and changes no bit.
         x = t if t.ndim else float(t)
-        for idx, formula, scales, params in groups:
+        for idx, cls, scales, params, _ in groups:
             step = idx.size if cells is None else max(1, cells // max(1, t.size))
             for s in range(0, idx.size, step):
                 # The members' parameters as a column against the points.
                 run = (slice(s, s + step),) + (None,) * t.ndim
-                yield idx[run[0]], formula(x / scales[run], *(p[run] for p in params))
+                yield idx[run[0]], cls._cdf_formula(x / scales[run], *(p[run] for p in params))
         for i, d in others:
             yield np.array([i]), np.asarray(d.cdf_left_limit(t) if left else d.cdf(t))[None]
+
+    def quantile_blocks(self, u) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (rows, values): ``values[j]`` is the quantile of law ``family_order[rows][j]`` at ``u[rows][j]``.
+
+        ``u`` holds one array of orders per law, shape ``(n,) + S``, its rows
+        in ``family_order``; the orders must lie strictly inside (0, 1) and
+        are not checked.  Each parametric family is evaluated in one call of
+        its ``_quantile_formula`` on stacked parameters, the code
+        ``d.quantile`` runs, or in one call per value of its scalar
+        parameters, which the formula gets as Python floats.  The values
+        equal ``d.quantile`` bit for bit like those of ``family_blocks``;
+        other laws come one at a time.
+        """
+        u = np.asarray(u, dtype=float)
+        groups, others = self._batch
+        column = (slice(None),) + (None,) * (u.ndim - 1)
+        start = 0
+        for idx, cls, scales, params, runs in groups:
+            for run in runs:
+                args = (
+                    float(p[run.start]) if name in cls._scalar_params else p[run][column]
+                    for name, p in zip(cls._params, params)
+                )
+                rows = slice(start + run.start, start + run.stop)
+                yield rows, scales[run][column] * cls._quantile_formula(u[rows], *args)
+            start += idx.size
+        for start, (_, d) in enumerate(others, start):
+            rows = slice(start, start + 1)
+            yield rows, d.scale * d._unit_quantile(u[rows])
 
     def component_cdfs(self, t, left: bool = False) -> np.ndarray:
         """F_i(t), or F_i(t-) if ``left``, as an array of shape ``shape(t) + (n,)``.

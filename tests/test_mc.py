@@ -18,6 +18,8 @@ from inidstat.dist import (
 from inidstat.mc import SimResult, median_ci_ranks, sample, simulate_median
 from inidstat.ostat import OrderStatModel, kmin_median
 
+from conftest import sweep_laws
+
 MIXED = (
     Uniform01(scale=2.0),
     Exponential(rate=1.5, scale=0.3),
@@ -27,6 +29,10 @@ MIXED = (
     Atomic(atoms=((0.5, 0.3), (1.5, 0.7))),
     Exponential(rate=1.0, scale=40.0),
 )
+
+# Every family interleaved, as the sampler regroups them: atoms, knots,
+# Pareto laws at several p and Exponential laws at distinct rates.
+WIDE = sweep_laws(np.random.default_rng(20261018), 48)
 
 
 def whole_array_oracle(model, R, seed, ci_level):
@@ -189,13 +195,26 @@ class TestStream:
             res = simulate_median(m, replicates=1001, seed=seed, ci_level=0.95)
             assert values(res) == whole_array_oracle(m, 1001, seed, 0.95)
 
+    def test_wide_interleaved_model_matches_whole_array_oracle(self):
+        families = {type(d) for d in WIDE}
+        assert {Atomic, PiecewiseLinearCdf, Uniform01, HalfGaussian} < families
+        assert len({d.p for d in WIDE if isinstance(d, ParetoPower)}) >= 3
+        assert len({d.rate for d in WIDE if isinstance(d, Exponential)}) >= 3
+        m = OrderStatModel(components=WIDE, k=17)
+        R = 1001
+        rows = max(mc._CHUNK_VARIATES // m.n, mc._MIN_CHUNK_ROWS)
+        assert rows < R and R % rows
+        for seed in (0, 77, 2**63 + 5):
+            res = simulate_median(m, replicates=R, seed=seed, ci_level=0.95)
+            assert values(res) == whole_array_oracle(m, R, seed, 0.95)
+
     @pytest.mark.parametrize("variates,min_rows", [(1, 1), (37 * 7, 1), (1, 13)])
     def test_chunk_size_does_not_change_results(self, monkeypatch, variates, min_rows):
-        m = OrderStatModel(components=MIXED, k=4)
-        default = simulate_median(m, replicates=1001, seed=8)
+        models = [OrderStatModel(components=MIXED, k=4), OrderStatModel(components=WIDE, k=30)]
+        defaults = [simulate_median(m, replicates=1001, seed=8) for m in models]
         monkeypatch.setattr(mc, "_CHUNK_VARIATES", variates)
         monkeypatch.setattr(mc, "_MIN_CHUNK_ROWS", min_rows)
-        assert simulate_median(m, replicates=1001, seed=8) == default
+        assert [simulate_median(m, replicates=1001, seed=8) for m in models] == defaults
 
     def test_negative_seed_keys_by_its_64_bit_residue(self):
         m = OrderStatModel(components=MIXED[:3], k=2)
