@@ -65,12 +65,11 @@ class Distribution:
     writes its unit-scale cdf and quantile once each, as
     ``_cdf_formula(x, *params)`` and ``_quantile_formula(r, *params)``.  The
     formulas broadcast over parameter arrays, so ``MixtureCdf.family_blocks``
-    and ``MixtureCdf.quantile_blocks`` evaluate every member of the family in
-    one call to the same code; such families are continuous.  A parameter
+    and ``MixtureCdf.family_quantiles`` evaluate every member of the family
+    in one call to the same code; such families are continuous.  A parameter
     named in ``_scalar_params`` reaches the quantile formula as a Python
-    float, never as an array, so a quantile block holds only members that
-    share its value.  Other
-    families leave the formulas unset and override ``_unit_cdf`` and
+    float, never as an array: a mixture keeps one block per value of it.
+    Other families leave the formulas unset and override ``_unit_cdf`` and
     ``_unit_quantile``.
     """
 
@@ -484,35 +483,38 @@ class MixtureCdf:
 
     @cached_property
     def _batch(self) -> tuple[list, list]:
-        # One (indices, family, scales, parameter arrays, runs) group per
-        # parametric family, and the (index, law) pairs of the other laws.
-        # The members are ordered by their scalar parameters, and each run
-        # slices out the members that share them.
-        members: dict[type, list[int]] = {}
+        # One (indices, family, scales, parameter arrays) group per
+        # parametric family and value of its scalar parameters, and the
+        # (index, law) pairs of the other laws.
+        members: dict[tuple, list[int]] = {}
         others = []
         for i, d in enumerate(self.components):
             if d._cdf_formula is None:
                 others.append((i, d))
             else:
-                members.setdefault(type(d), []).append(i)
-        groups = []
-        for cls, idx in members.items():
-            runs = [slice(0, len(idx))]
-            if cls._scalar_params:
-                keys = sorted((tuple(getattr(self.components[i], name) for name in cls._scalar_params), i) for i in idx)
-                idx = [i for _, i in keys]
-                cuts = [j for j in range(1, len(keys)) if keys[j][0] != keys[j - 1][0]]
-                runs = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(keys)])]
-            laws = [self.components[i] for i in idx]
-            params = [np.array([getattr(d, name) for d in laws]) for name in cls._params]
-            groups.append((np.array(idx, dtype=np.intp), cls, np.array([d.scale for d in laws]), params, runs))
+                members.setdefault((type(d), *(getattr(d, name) for name in d._scalar_params)), []).append(i)
+        groups = [
+            (
+                np.array(idx, dtype=np.intp),
+                key[0],
+                np.array([self.components[i].scale for i in idx]),
+                [np.array([getattr(self.components[i], name) for i in idx]) for name in key[0]._params],
+            )
+            for key, idx in members.items()
+        ]
         return groups, others
 
     @cached_property
-    def family_order(self) -> np.ndarray:
-        """Component indices in the order ``family_blocks`` and ``quantile_blocks`` take them."""
+    def _family_order(self) -> np.ndarray:
+        # The components group by group, then the other laws.
         groups, others = self._batch
         return np.concatenate([idx for idx, *_ in groups] + [np.array([i for i, _ in others], dtype=np.intp)])
+
+    @property
+    def quantile_calls(self) -> int:
+        """Formula or law calls that one ``family_quantiles`` call makes."""
+        groups, others = self._batch
+        return len(groups) + len(others)
 
     def family_blocks(
         self, t, left: bool = False, cells: Optional[int] = None
@@ -520,19 +522,19 @@ class MixtureCdf:
         """Yield (indices, values): ``values[j]`` is F_i(t), or F_i(t-) if ``left``, for i = indices[j].
 
         ``values`` has shape ``(len(indices),) + shape(t)``, one law per row.
-        Each parametric family is evaluated in one call of its
-        ``_cdf_formula`` on stacked parameters, the same code ``d.cdf`` runs,
-        or, if ``cells`` is given, in one call per run of at most
-        ``cells // t.size`` members.  The values equal ``d.cdf(t)`` bit for
-        bit as long as numpy's elementwise functions do not depend on the
-        array's shape; the test suite checks that over every family.  Other
-        laws come one at a time.
+        Each parametric family block, one per value of the family's scalar
+        parameters, is evaluated in one call of its ``_cdf_formula`` on
+        stacked parameters, the same code ``d.cdf`` runs, or, if ``cells`` is
+        given, in one call per run of at most ``cells // t.size`` members.
+        The values equal ``d.cdf(t)`` bit for bit as long as numpy's
+        elementwise functions do not depend on the array's shape; the test
+        suite checks that over every family.  Other laws come one at a time.
         """
         t = np.asarray(t, dtype=float)
         groups, others = self._batch
         # A float divides faster than a 0-d array, and changes no bit.
         x = t if t.ndim else float(t)
-        for idx, cls, scales, params, _ in groups:
+        for idx, cls, scales, params in groups:
             step = idx.size if cells is None else max(1, cells // max(1, t.size))
             for s in range(0, idx.size, step):
                 # The members' parameters as a column against the points.
@@ -541,34 +543,36 @@ class MixtureCdf:
         for i, d in others:
             yield np.array([i]), np.asarray(d.cdf_left_limit(t) if left else d.cdf(t))[None]
 
-    def quantile_blocks(self, u) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield (rows, values): ``values[j]`` is the quantile of law ``family_order[rows][j]`` at ``u[rows][j]``.
+    def family_quantiles(self, u) -> np.ndarray:
+        """The quantile of each law at its own orders, with the rows grouped by family.
 
-        ``u`` holds one array of orders per law, shape ``(n,) + S``, its rows
-        in ``family_order``; the orders must lie strictly inside (0, 1) and
-        are not checked.  Each parametric family is evaluated in one call of
-        its ``_quantile_formula`` on stacked parameters, the code
-        ``d.quantile`` runs, or in one call per value of its scalar
-        parameters, which the formula gets as Python floats.  The values
-        equal ``d.quantile`` bit for bit like those of ``family_blocks``;
-        other laws come one at a time.
+        ``u`` holds one array of orders per law, shape ``(n,) + S``, row i for
+        component i; every order must lie strictly inside (0, 1).  The result
+        has the same shape and holds one row per component, each equal to
+        ``d.quantile`` of that component at its orders bit for bit, but the
+        rows come in an order fixed per mixture that puts each family block
+        together: it suits uses that do not depend on the order of the laws,
+        such as order statistics.  A parametric family block is evaluated in
+        one call of its ``_quantile_formula``, the code ``d.quantile`` runs,
+        on stacked parameters; its members share their scalar parameters,
+        which the formula gets as Python floats.  Other laws come one at a
+        time, so a call makes ``quantile_calls`` calls in all.
         """
-        u = np.asarray(u, dtype=float)
+        x = np.asarray(u, dtype=float)[self._family_order]
+        # min and max propagate NaN, which fails both comparisons.
+        if not (x.min() > 0.0 and x.max() < 1.0):
+            raise ValueError("quantile orders must lie strictly inside (0, 1)")
         groups, others = self._batch
-        column = (slice(None),) + (None,) * (u.ndim - 1)
+        column = (slice(None),) + (None,) * (x.ndim - 1)
         start = 0
-        for idx, cls, scales, params, runs in groups:
-            for run in runs:
-                args = (
-                    float(p[run.start]) if name in cls._scalar_params else p[run][column]
-                    for name, p in zip(cls._params, params)
-                )
-                rows = slice(start + run.start, start + run.stop)
-                yield rows, scales[run][column] * cls._quantile_formula(u[rows], *args)
-            start += idx.size
+        for idx, cls, scales, params in groups:
+            rows = slice(start, start + idx.size)
+            args = (float(p[0]) if name in cls._scalar_params else p[column] for name, p in zip(cls._params, params))
+            x[rows] = scales[column] * cls._quantile_formula(x[rows], *args)
+            start = rows.stop
         for start, (_, d) in enumerate(others, start):
-            rows = slice(start, start + 1)
-            yield rows, d.scale * d._unit_quantile(u[rows])
+            x[start:start + 1] = d.scale * d._unit_quantile(x[start:start + 1])
+        return x
 
     def component_cdfs(self, t, left: bool = False) -> np.ndarray:
         """F_i(t), or F_i(t-) if ``left``, as an array of shape ``shape(t) + (n,)``.

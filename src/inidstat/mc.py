@@ -1,19 +1,20 @@
 """Monte Carlo cross-validation of the exact order-statistic engine.
 
-Sampling is by inverse transform through ``MixtureCdf.quantile_blocks``,
+Sampling is by inverse transform through ``MixtureCdf.family_quantiles``,
 which runs each family's quantile formula, the code ``d.quantile`` runs, so
 the sampler and the exact engine share one definition of every law.  Median
 estimates carry a distribution-free order-statistic confidence interval.
 
 All uniforms come from one Philox4x64 stream keyed by the seed (mod 2**64)
 and read in order: replicate j owns the stream's draws [j*n, (j+1)*n), one
-per component.  Replicates are processed in chunks of about 2**15 draws, so
-memory stays O(R + chunk) floats for R replicates.  Each chunk is gathered
-into component-major rows, family block by family block, checked once to
-lie strictly inside (0, 1), turned into quantiles by one formula call per
-block and partitioned for the k-th smallest of each replicate.  The draws
-are those of ``d.quantile`` bit for bit, so the results are reproducible
-bit for bit and do not depend on the chunk size.
+per component.  Replicates are processed in bounded chunks, so memory stays
+O(R + chunk) floats for R replicates.  Each chunk is turned into quantiles
+by ``family_quantiles``, which gathers it into component-major rows family
+block by family block, checks it once to lie strictly inside (0, 1) and
+makes one call per block; the rows are then partitioned for the k-th
+smallest of each replicate.  The draws are those of ``d.quantile`` bit for
+bit, so the results are reproducible bit for bit and do not depend on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._record import Record
-from .dist import Distribution, MixtureCdf
+from .dist import Distribution
 from .ostat import OrderStatModel
 
 __all__ = [
@@ -38,13 +39,18 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GENERATOR_TAG = "philox4x64(key = seed mod 2**64); replicate j reads draws [j*n, (j+1)*n)"
 _MIN_REPLICATES = 100
-# Uniforms drawn per chunk.  Small enough that a chunk, its gathered copy
-# and the block temporaries stay in cache, large enough to amortise one
-# formula call per family block; the row floor keeps that true for very
-# wide models.  On the monte-carlo benchmark (2-core Xeon VM) 2**15 and
-# 2**16 ran a round fastest, about 40% faster than 2**20, and 2**15 holds
-# less memory.
+# Uniforms drawn per chunk: at least _CHUNK_VARIATES and, up to
+# _MAX_CHUNK_VARIATES, _BLOCK_VARIATES per quantile call, so that one call
+# per family block and per law outside a family stays amortised; the row
+# floor keeps that true for very wide models.  On the monte-carlo benchmark,
+# whose models make at most six calls, chunks of 2**15 ran a round about 40%
+# faster than 2**20 (2-core Xeon VM): the chunk, its gathered copy and the
+# block temporaries stay in cache.  With one call per law, as for 400
+# atomic, piecewise-linear or distinct-p Pareto laws, chunks of 2**15 ran
+# 2.6 to 6.3 times slower than chunks of 2**20 (2**12 per call, capped).
 _CHUNK_VARIATES = 1 << 15
+_BLOCK_VARIATES = 1 << 12
+_MAX_CHUNK_VARIATES = 1 << 20
 _MIN_CHUNK_ROWS = 64
 
 
@@ -92,21 +98,11 @@ def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:
     return a, R - a + 1
 
 
-def _kth_smallest(mixture: MixtureCdf, u: np.ndarray, k: int) -> np.ndarray:
-    # The k-th smallest component of each replicate, one row of uniforms
-    # u[j] per replicate.  The draws are gathered into component-major rows,
-    # family block by family block, as the k-th smallest does not depend on
-    # the order of the components.
-    x = u.T[mixture.family_order]
-    # random() can emit exactly 0; nudge into the open interval.
-    np.maximum(x, 5e-324, out=x)
-    # min and max propagate NaN, which fails both comparisons.
-    if not (x.min() > 0.0 and x.max() < 1.0):
-        raise ValueError("uniform draws must lie strictly inside (0, 1)")
-    for block, values in mixture.quantile_blocks(x):
-        x[block] = values
-    x.partition(k - 1, axis=0)
-    return x[k - 1]
+def _chunk_rows(model: OrderStatModel) -> int:
+    variates = max(_CHUNK_VARIATES, min(_BLOCK_VARIATES * model.mixture.quantile_calls, _MAX_CHUNK_VARIATES))
+    # An odd row count keeps the column stride of the partition off multiples
+    # of 4 KiB, where cache-set conflicts made it up to 3.5x slower.
+    return max(variates // model.n, _MIN_CHUNK_ROWS) | 1
 
 
 def simulate_median(
@@ -118,8 +114,9 @@ def simulate_median(
     """Sample median of the k-th smallest over R independent replicates.
 
     Replicate j reads draws [j*n, (j+1)*n) of one Philox4x64 stream keyed by
-    ``seed`` mod 2**64.  Memory: the R selected values, a chunk of at most
-    max(2**15, 64*n) draws, its gathered copy and, while a family block is
+    ``seed`` mod 2**64.  Memory: the R selected values, a chunk of about
+    max(2**15, min(2**12 * c, 2**20), 64*n) draws, where c counts the
+    mixture's ``quantile_calls``, its gathered copy and, while a block is
     sampled, about two temporaries of the block's size.
     """
     R = operator.index(replicates)
@@ -133,14 +130,21 @@ def simulate_median(
     t0 = time.perf_counter()
     n, k = model.n, model.k
     rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
-    rows = min(R, max(_CHUNK_VARIATES // n, _MIN_CHUNK_ROWS))
-    # Reused by every chunk; the last chunk uses its first m rows.
+    rows = min(R, _chunk_rows(model))
+    # Reused by every chunk; the last chunk uses its first rows.
     draws = np.empty((rows, n))
     vals = np.empty(R)
     for lo in range(0, R, rows):
-        m = min(rows, R - lo)
-        rng.random(out=draws[:m])
-        vals[lo:lo + m] = _kth_smallest(model.mixture, draws[:m], k)
+        u = draws[:min(rows, R - lo)]
+        rng.random(out=u)
+        # random() can emit exactly 0; nudge into the open interval.
+        np.maximum(u, 5e-324, out=u)
+        # Rows grouped by family: the k-th smallest ignores their order.
+        x = model.mixture.family_quantiles(u.T)
+        x.partition(k - 1, axis=0)
+        vals[lo:lo + u.shape[0]] = x[k - 1]
+        # Freed now, so that it is not held while the next chunk is sampled.
+        del x
 
     vals.sort()
     a, b = median_ci_ranks(R, ci_level)

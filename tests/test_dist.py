@@ -415,23 +415,29 @@ class TestMixture:
             for j, t in enumerate(ts):
                 assert mix.component_cdfs(float(t), left=left).tolist() == [f(float(t)) for f in laws]
 
-    def test_quantile_blocks_are_each_law_bit_for_bit(self):
+    def test_family_quantiles_are_each_law_bit_for_bit(self):
         # ParetoPower at p = 1 is where numpy's ``**`` takes a reciprocal
         # path that a broadcast exponent array skips.
         rng = np.random.default_rng(14)
         laws = sweep_laws(rng, 60) + (ParetoPower(p=1.0), ParetoPower(p=4.0, scale=0.5), ParetoPower(p=1.0, scale=3.0))
         assert len({type(d) for d in laws}) == 6
         mix = MixtureCdf(laws)
-        assert sorted(mix.family_order.tolist()) == list(range(mix.n))
+        order = mix._family_order.tolist()
+        assert sorted(order) == list(range(mix.n))
         for shape in ((500,), (20, 30)):
             u = np.maximum(rng.random((mix.n,) + shape), 5e-324)
-            stop = 0
-            for rows, values in mix.quantile_blocks(u):
-                assert rows.start == stop and values.shape == u[rows].shape
-                stop = rows.stop
-                for i, r, v in zip(mix.family_order[rows].tolist(), u[rows], values):
-                    assert v.tolist() == mix.components[i].quantile(r).tolist()
-            assert stop == mix.n
+            x = mix.family_quantiles(u)
+            assert x.shape == u.shape
+            for i, row in zip(order, x):
+                assert row.tolist() == mix.components[i].quantile(u[i]).tolist()
+
+    def test_family_quantiles_reject_orders_outside_the_open_interval(self):
+        mix = MixtureCdf((Uniform01(), ParetoPower(p=2.0), Atomic(atoms=((3.0, 1.0),))))
+        for bad in (0.0, 1.0, np.nan):
+            u = np.full((3, 4), 0.5)
+            u[2, 1] = bad
+            with pytest.raises(ValueError, match="strictly inside"):
+                mix.family_quantiles(u)
 
     def test_quantile_extremes(self):
         mix = MixtureCdf((Uniform01(), Atomic(atoms=((3.0, 1.0),))))

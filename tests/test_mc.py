@@ -201,8 +201,8 @@ class TestStream:
         assert len({d.p for d in WIDE if isinstance(d, ParetoPower)}) >= 3
         assert len({d.rate for d in WIDE if isinstance(d, Exponential)}) >= 3
         m = OrderStatModel(components=WIDE, k=17)
-        R = 1001
-        rows = max(mc._CHUNK_VARIATES // m.n, mc._MIN_CHUNK_ROWS)
+        R = 4001
+        rows = mc._chunk_rows(m)
         assert rows < R and R % rows
         for seed in (0, 77, 2**63 + 5):
             res = simulate_median(m, replicates=R, seed=seed, ci_level=0.95)
@@ -214,6 +214,8 @@ class TestStream:
         defaults = [simulate_median(m, replicates=1001, seed=8) for m in models]
         monkeypatch.setattr(mc, "_CHUNK_VARIATES", variates)
         monkeypatch.setattr(mc, "_MIN_CHUNK_ROWS", min_rows)
+        # One draw per quantile call: the two settings above size the chunk.
+        monkeypatch.setattr(mc, "_BLOCK_VARIATES", 1)
         assert [simulate_median(m, replicates=1001, seed=8) for m in models] == defaults
 
     def test_negative_seed_keys_by_its_64_bit_residue(self):
@@ -230,6 +232,23 @@ class TestStream:
         R = 25_000
         assert R * m.n >= 4 * mc._CHUNK_VARIATES
         chunk = max(mc._CHUNK_VARIATES // m.n, mc._MIN_CHUNK_ROWS) * m.n
+        tracemalloc.start()
+        try:
+            simulate_median(m, replicates=R, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * (chunk + R)
+
+    def test_memory_of_one_law_blocks_is_bounded_by_chunk_and_replicates(self):
+        # Every law is a block of its own, so the chunk grows to amortise
+        # the calls but stays within its cap.
+        laws = tuple(Atomic(atoms=((0.5, 0.5), (1.0 + i, 0.5))) for i in range(300))
+        m = OrderStatModel(components=laws, k=150)
+        rows = mc._chunk_rows(m)
+        chunk = rows * m.n
+        assert mc._CHUNK_VARIATES < chunk <= mc._MAX_CHUNK_VARIATES + m.n
+        R = 4 * rows
         tracemalloc.start()
         try:
             simulate_median(m, replicates=R, seed=3)
