@@ -16,6 +16,10 @@ engine; nothing here is sampled or approximated beyond grid certification of
 the regularity precondition.  The model computes q once, and the three
 checks share it; the exact median search starts from q, as the theorem puts
 Med close to it.
+
+Each verdict rule is one private function, ``_sandwich_verdict`` or
+``_tail_row``.  The powers of K used and the default grid points must be
+normal doubles: a K or count past that raises ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 from ._record import Record
 from .ostat import OrderStatModel, averaged_quantile, kmin_cdf, kmin_median, kmin_strict_cdf
-from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, _check_K, check_condition_batch
+from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, _LN_RANGE, _check_K, _max_power, check_condition_batch
 
 __all__ = [
     "SANDWICH_LOWER_EXP",
@@ -36,8 +40,6 @@ __all__ = [
     "upper_tail_bound",
     "default_lower_t_grid",
     "default_upper_t_grid",
-    "sandwich_verdict",
-    "tail_row",
     "TailBoundRow",
     "TheoremReport",
     "verify_theorem",
@@ -63,14 +65,32 @@ def upper_tail_bound(t: float, K: float) -> float:
     return 4.0 * float(t) ** (-1.0 / (6.0 * math.log(K)))
 
 
+def _K_power(K: float, e: int) -> float:
+    # K**e, refused unless it is a normal double.
+    sign = 1 if e > 0 else -1
+    if abs(e) > _max_power(K, sign):
+        limit = math.exp(_LN_RANGE[sign] / abs(e))
+        raise ValueError(f"K^{e} leaves the double range: K must be at most {limit:.6g}, got {K!r}")
+    return K**e
+
+
+def _default_t_grid(K, count: int, sign: int) -> tuple[float, ...]:
+    K = _check_K(K)
+    most = max(_max_power(K, sign) - 5, 0)
+    if not 1 <= count <= most:
+        point = "K^-(5+j)" if sign < 0 else "K^(5+j)"
+        raise ValueError(f"count must lie in [1, {most}] at K={K:g} to keep each {point} a normal double; got {count}")
+    return tuple(K ** (sign * (5 + j)) for j in range(1, count + 1))
+
+
 def default_lower_t_grid(K: float, count: int = 10) -> tuple[float, ...]:
-    """t = K^(-5-j) for j = 1..count, log-spaced below the K^-5 cutoff."""
-    return tuple(float(K) ** -(5 + j) for j in range(1, count + 1))
+    """t = K^(-5-j) for j = 1..count, log-spaced below the K^-5 cutoff; each a normal double."""
+    return _default_t_grid(K, count, -1)
 
 
 def default_upper_t_grid(K: float, count: int = 10) -> tuple[float, ...]:
-    """t = K^(5+j) for j = 1..count, log-spaced above the K^5 cutoff."""
-    return tuple(float(K) ** (5 + j) for j in range(1, count + 1))
+    """t = K^(5+j) for j = 1..count, log-spaced above the K^5 cutoff; each a finite double."""
+    return _default_t_grid(K, count, 1)
 
 
 @dataclass(frozen=True)
@@ -90,7 +110,7 @@ class TailBoundRow(Record):
         return self.verdict == "pass"
 
 
-def tail_row(t: float, side: str, threshold: float, exact_prob: float, bound: float) -> TailBoundRow:
+def _tail_row(t: float, side: str, threshold: float, exact_prob: float, bound: float) -> TailBoundRow:
     """The row for one tail comparison, judged by the tail rule.
 
     It passes when exact_prob <= bound + TAIL_TOL, and is vacuous when the
@@ -128,7 +148,7 @@ class TheoremReport(Record):
         return self.verdict == "pass"
 
 
-def sandwich_verdict(
+def _sandwich_verdict(
     q: float, med: float, lower: float, upper: float, certificates: tuple[RegularityCertificate, ...]
 ) -> tuple[str, bool]:
     """(verdict, sandwich_holds) for lower*q <= med <= upper*q.
@@ -164,18 +184,18 @@ def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID)
     per-component certificates so a precondition failure is attributable.
     """
     K = _check_K(K)
+    upper = _K_power(K, SANDWICH_UPPER_EXP)
+    lower = _K_power(K, SANDWICH_LOWER_EXP)
     certs = _component_certificates(model, K, grid_spec)
 
     q = averaged_quantile(model)
     med = kmin_median(model)
-    lower = K**SANDWICH_LOWER_EXP
-    upper = K**SANDWICH_UPPER_EXP
     if q > 0.0:
         ratio = med / q
     else:
         ratio = 1.0 if med == 0.0 else math.inf
 
-    verdict, holds = sandwich_verdict(q, med, lower, upper, certs)
+    verdict, holds = _sandwich_verdict(q, med, lower, upper, certs)
     return TheoremReport(
         K=K,
         n=model.n,
@@ -193,10 +213,12 @@ def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID)
 
 def _tail_rows(model, K, t_grid, side) -> list[TailBoundRow]:
     K = _check_K(K)
+    cutoff = _K_power(K, -5 if side == "lower" else 5)
     if t_grid is None:
         t_grid = default_lower_t_grid(K) if side == "lower" else default_upper_t_grid(K)
     ts = sorted(float(t) for t in t_grid)
-    cutoff = K**-5 if side == "lower" else K**5
+    if not ts:
+        raise ValueError("t_grid must hold at least one t")
     for t in ts:
         if side == "lower" and not 0.0 < t < cutoff:
             raise ValueError(f"lower-side t must lie in (0, K^-5) = (0, {cutoff:g}), got {t!r}")
@@ -211,7 +233,7 @@ def _tail_rows(model, K, t_grid, side) -> list[TailBoundRow]:
     else:
         exact = (1.0 - kmin_cdf(model, thresholds)).tolist()
         bounds = [upper_tail_bound(t, K) for t in ts]
-    return [tail_row(t, side, x, p, b) for t, x, p, b in zip(ts, thresholds, exact, bounds)]
+    return [_tail_row(t, side, x, p, b) for t, x, p, b in zip(ts, thresholds, exact, bounds)]
 
 
 def verify_lower_tail(model: OrderStatModel, K, t_grid=None) -> list[TailBoundRow]:

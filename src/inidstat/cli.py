@@ -31,39 +31,38 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-_FAMILY_PARAMS = {
-    "uniform01": (),
-    "pareto_power": ("p",),
-    "exponential": ("rate",),
-    "half_gaussian": ("sigma",),
-    "piecewise_linear": ("knots",),
-    "atomic": ("atoms",),
+_FAMILIES = {
+    "uniform01": Uniform01,
+    "pareto_power": ParetoPower,
+    "exponential": Exponential,
+    "half_gaussian": HalfGaussian,
+    "piecewise_linear": PiecewiseLinearCdf,
+    "atomic": Atomic,
 }
 
-KNOWN_FAMILIES = tuple(sorted(_FAMILY_PARAMS))
+KNOWN_FAMILIES = tuple(sorted(_FAMILIES))
+
+
+def _shape_params(cls) -> tuple[str, ...]:
+    # A family's parameters are its dataclass fields other than the scale.
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name != "scale")
 
 
 def build_distribution(family: str, params: dict | None = None, scale: float = 1.0) -> Distribution:
-    """Construct a component law from its spec-file description."""
+    """Construct a component law from its spec-file description.
+
+    Parameters left out take the family's defaults; the laws check and
+    convert their own values, (t, F) knots and (value, weight) atoms.
+    """
     params = dict(params or {})
-    if family not in _FAMILY_PARAMS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; known families: {', '.join(KNOWN_FAMILIES)}")
-    allowed = _FAMILY_PARAMS[family]
+    cls = _FAMILIES[family]
+    allowed = _shape_params(cls)
     for key in params:
         if key not in allowed:
             raise ValueError(f"unknown parameter {key!r} for family {family!r}; allowed: {allowed or '()'}")
-    if family == "uniform01":
-        return Uniform01(scale=scale)
-    if family == "pareto_power":
-        return ParetoPower(p=params.get("p", 1.0), scale=scale)
-    if family == "exponential":
-        return Exponential(rate=params.get("rate", 1.0), scale=scale)
-    if family == "half_gaussian":
-        return HalfGaussian(sigma=params.get("sigma", 1.0), scale=scale)
-    # The laws check and convert their own (t, F) and (value, weight) pairs.
-    if family == "piecewise_linear":
-        return PiecewiseLinearCdf(knots=params.get("knots", [[0.0, 0.0], [1.0, 1.0]]), scale=scale)
-    return Atomic(atoms=params.get("atoms", [[1.0, 1.0]]), scale=scale)
+    return cls(**params, scale=scale)
 
 
 def parse_model_spec(obj) -> OrderStatModel:
@@ -151,32 +150,21 @@ def _emit(args, table: str, csv_text: str, payload) -> None:
 
 
 def _family_from_args(args) -> Distribution:
-    params = {}
-    if args.p is not None:
-        params["p"] = args.p
-    if args.rate is not None:
-        params["rate"] = args.rate
-    if args.sigma is not None:
-        params["sigma"] = args.sigma
-    if args.knots is not None:
-        params["knots"] = json.loads(args.knots)
-    if args.atoms is not None:
-        params["atoms"] = json.loads(args.atoms)
+    # Every family's flags are gathered, so that a flag of another family is
+    # reported as an unknown parameter.  The pair lists come as JSON text.
+    names = dict.fromkeys(name for cls in _FAMILIES.values() for name in _shape_params(cls))
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    params = {name: json.loads(v) if isinstance(v, str) else v for name, v in given.items()}
     return build_distribution(args.family, params, args.scale)
 
 
 def _cmd_check_condition(args) -> int:
     d = _family_from_args(args)
     grid = parse_grid(args.grid)
-    checker = {
-        "condition": regularity.check_condition,
-        "measure-form": regularity.check_measure_form,
-        "weak-condition": regularity.check_weak_condition,
-    }[args.form]
-    cert = checker(d, args.K, grid)
-    t, lhs, rhs, _ = regularity.pointwise_margins(d, args.K, grid, args.form)
+    # One evaluation of the law gives both the certificate and its rows.
+    cert, t, lhs, rhs = regularity._pointwise_certificate(d, args.K, grid, args.form)
     margin = lhs - rhs
-    ok = margin >= -regularity.MARGIN_TOL
+    ok = regularity._holds(margin)
     rows = [
         [float(t[i]), float(lhs[i]), float(rhs[i]), float(margin[i]), "pass" if ok[i] else "fail"]
         for i in range(t.size)
@@ -242,12 +230,6 @@ def _cmd_verify_theorem(args) -> int:
     model = load_model(args.model)
     grid = parse_grid(args.grid)
     report = bounds.verify_theorem(model, args.K, grid)
-    if args.unsafe_override_bound is not None:
-        # Test hook: rescale both sandwich bounds and re-derive the verdict.
-        lower = report.lower * args.unsafe_override_bound
-        upper = report.upper * args.unsafe_override_bound
-        verdict, holds = bounds.sandwich_verdict(report.q, report.med, lower, upper, report.certificates)
-        report = dataclasses.replace(report, lower=lower, upper=upper, verdict=verdict, sandwich_holds=holds)
     n_pass = sum(1 for c in report.certificates if c.passed)
     table = _kv_table(
         [
@@ -276,22 +258,18 @@ def _cmd_verify_theorem(args) -> int:
 def _cmd_tail_bounds(args) -> int:
     model = load_model(args.model)
     sides = ["lower", "upper"] if args.side == "both" else [args.side]
-    if args.t and args.side == "both":
+    if args.t is not None and args.side == "both":
         raise ValueError("--t requires an explicit --side lower or --side upper")
+    if args.t is not None and args.count is not None:
+        raise ValueError("--count sets the default grid and cannot be combined with --t")
     rows: list[bounds.TailBoundRow] = []
     for side in sides:
-        if args.t:
-            grid = args.t
-        elif side == "lower":
-            grid = bounds.default_lower_t_grid(args.K, args.count)
-        else:
-            grid = bounds.default_upper_t_grid(args.K, args.count)
-        fn = bounds.verify_lower_tail if side == "lower" else bounds.verify_upper_tail
-        rows.extend(fn(model, args.K, grid))
-    if args.unsafe_override_bound is not None:
-        # Test hook: rescale every bound and re-derive the verdicts.
-        factor = args.unsafe_override_bound
-        rows = [bounds.tail_row(r.t, r.side, r.threshold, r.exact_prob, r.bound * factor) for r in rows]
+        lower = side == "lower"
+        # No --t and no --count leaves the library's default grid.
+        grid = args.t
+        if args.count is not None:
+            grid = (bounds.default_lower_t_grid if lower else bounds.default_upper_t_grid)(args.K, args.count)
+        rows.extend((bounds.verify_lower_tail if lower else bounds.verify_upper_tail)(model, args.K, grid))
     csv_text = _csv(
         ["t", "side", "threshold", "exact_prob", "bound", "verdict"],
         [[r.t, r.side, r.threshold, r.exact_prob, r.bound, r.verdict] for r in rows],
@@ -334,6 +312,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.Generator(np.random.Philox(key=args.seed & ((1 << 64) - 1)))
 
     # Tail engine vs exhaustive enumeration on small random vectors.
@@ -357,28 +337,19 @@ def _cmd_oracle(args) -> int:
             diffs = np.abs(ostat.kmin_cdf(OrderStatModel(comps, k), ts) - refs)
             worst_iid = max(worst_iid, float(diffs.max()))
 
-    ok = worst_tail <= 1e-12 and worst_iid <= 1e-10
-    pairs = [
-        ("tail vs enumeration, max |diff|", _fmt(worst_tail)),
-        ("tolerance", _fmt(1e-12)),
-        ("iid uniform vs binomial, max |diff|", _fmt(worst_iid)),
-        ("tolerance", _fmt(1e-10)),
-        ("verdict", "pass" if ok else "fail"),
-    ]
+    checks = {"tail_vs_enumeration": (worst_tail, 1e-12), "iid_uniform_vs_binomial": (worst_iid, 1e-10)}
+    verdicts = {key: "pass" if worst <= tol else "fail" for key, (worst, tol) in checks.items()}
+    verdict = "pass" if set(verdicts.values()) == {"pass"} else "fail"
+    pairs = []
+    for key, (worst, tol) in checks.items():
+        pairs += [(f"{key.replace('_', ' ')}, max |diff|", _fmt(worst)), ("tolerance", _fmt(tol))]
     csv_text = _csv(
         ["check", "max_abs_diff", "tolerance", "verdict"],
-        [
-            ["tail_vs_enumeration", worst_tail, 1e-12, "pass" if worst_tail <= 1e-12 else "fail"],
-            ["iid_uniform_vs_binomial", worst_iid, 1e-10, "pass" if worst_iid <= 1e-10 else "fail"],
-        ],
+        [[key, worst, tol, verdicts[key]] for key, (worst, tol) in checks.items()],
     )
-    payload = {
-        "tail_vs_enumeration": {"max_abs_diff": worst_tail, "tolerance": 1e-12},
-        "iid_uniform_vs_binomial": {"max_abs_diff": worst_iid, "tolerance": 1e-10},
-        "verdict": "pass" if ok else "fail",
-    }
-    _emit(args, _kv_table(pairs), csv_text, payload)
-    return EXIT_PASS if ok else EXIT_FAIL
+    payload = {key: {"max_abs_diff": worst, "tolerance": tol} for key, (worst, tol) in checks.items()}
+    _emit(args, _kv_table([*pairs, ("verdict", verdict)]), csv_text, dict(payload, verdict=verdict))
+    return EXIT_PASS if verdict == "pass" else EXIT_FAIL
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -435,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--grid", default=None, help="tmin:tmax:ppd for the regularity grid")
-    p.add_argument("--unsafe-override-bound", type=float, default=None,
-                   help="test hook: multiply the sandwich factors by this value")
     _add_common(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
@@ -444,11 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--side", choices=("lower", "upper", "both"), default="both")
-    p.add_argument("--count", type=int, default=10, help="points per side in the default grid")
+    p.add_argument("--count", type=int, default=None,
+                   help="points per side in the default grid (10 if not given)")
     p.add_argument("--t", type=float, action="append", default=None,
                    help="explicit t value (repeatable); requires --side")
-    p.add_argument("--unsafe-override-bound", type=float, default=None,
-                   help="test hook: multiply every bound by this value")
     _add_common(p)
     p.set_defaults(func=_cmd_tail_bounds)
 
@@ -478,10 +446,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,12 +8,16 @@ checked here in the division-free form F(Kt)*(1-F(t)) >= 2*F(t)*(1-F(Kt)),
 which is numerically total (no 1/0 special cases) and equivalent.  A passing
 certificate is necessary evidence on finitely many grid points, not a proof
 for all t > 0; every certificate carries that caveat.
+
+Every verdict here, the growth lemma's included, comes from ``_assemble``,
+which judges each law's worst margin lhs - rhs by the one rule ``_holds``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -119,11 +123,26 @@ class RegularityPreconditionError(ValueError):
         self.certificate = certificate
 
 
+# ln of the largest double and -ln of the smallest normal one, by the sign of
+# an exponent, pulled in by 1e-12 so that no rounding carries a power past them.
+_LN_RANGE = {1: math.log(sys.float_info.max) * (1 - 1e-12), -1: -math.log(sys.float_info.min) * (1 - 1e-12)}
+
+
+def _max_power(K: float, sign: int = 1) -> int:
+    # The largest e with K**(sign * e) a normal double, for K > 1 (one short at the very edge).
+    return math.floor(_LN_RANGE[sign] / math.log(K))
+
+
 def _check_K(K) -> float:
     K = float(K)
     if not (math.isfinite(K) and K > 1.0):
         raise ValueError(f"K must be a finite real > 1, got {K!r}")
     return K
+
+
+def _holds(margin):
+    """The margin rule: a point passes unless it falls short by more than MARGIN_TOL."""
+    return margin >= -MARGIN_TOL
 
 
 def _assemble(
@@ -144,7 +163,7 @@ def _assemble(
     at = margin.argmin(axis=1)
     certs = []
     for j, (i, worst) in enumerate(zip(at.tolist(), margin[np.arange(at.size), at].tolist())):
-        if worst >= -MARGIN_TOL:
+        if _holds(worst):
             certs.append(RegularityCertificate(check, K, grid_spec, n_points, worst, "pass", None))
         else:
             witness = (float(t[i]), float(lhs[j, i]), float(rhs[j, i]))
@@ -234,14 +253,18 @@ def check_measure_form(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -
     Both margins rearrange to F(Kt) - 2*F(t) + F(t)*F(Kt), so pointwise
     verdicts necessarily agree with check_condition.
     """
-    t, lhs, rhs, n = pointwise_margins(d, K, grid_spec, "measure-form")
-    return _assemble("measure-form", float(K), grid_spec, t, lhs[None], rhs[None], n)[0]
+    return _pointwise_certificate(d, K, grid_spec, "measure-form")[0]
 
 
 def check_weak_condition(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -> RegularityCertificate:
     """Certify F(t) >= 2*F(t/K^2) at grid points where F(t) <= 1/2."""
-    t, lhs, rhs, n = pointwise_margins(d, K, grid_spec, "weak-condition")
-    return _assemble("weak-condition", float(K), grid_spec, t, lhs[None], rhs[None], n)[0]
+    return _pointwise_certificate(d, K, grid_spec, "weak-condition")[0]
+
+
+def _pointwise_certificate(d: Distribution, K, grid_spec: GridSpec, form: str):
+    # The certificate of one law in one form, with the (t, lhs, rhs) arrays it judged.
+    t, lhs, rhs, n = pointwise_margins(d, K, grid_spec, form)
+    return _assemble(form, float(K), grid_spec, t, lhs[None], rhs[None], n)[0], t, lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -281,12 +304,14 @@ def check_lemma_growth(
     """Certify the iterated consequences of the condition at step count ell.
 
     Requires a passing condition certificate at K first; the iteration is a
-    consequence of the condition and is meaningless without it.
+    consequence of the condition and is meaningless without it.  K^ell and
+    2^ell must be finite; an empty survival set passes with margin inf.
     """
     K = _check_K(K)
     ell = operator.index(ell)
-    if ell < 1:
-        raise ValueError(f"ell must be an integer >= 1, got {ell}")
+    most = _max_power(max(K, 2.0))
+    if not 1 <= ell <= most:
+        raise ValueError(f"ell must lie in [1, {most}] at K={K:g}, where K^ell and 2^ell stay finite; got {ell}")
     gamma = float(gamma)
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma!r}")
@@ -303,33 +328,12 @@ def check_lemma_growth(
     ft = np.asarray(d.cdf(t))
     ftl = np.asarray(d.cdf(t / K**ell))
     pow2 = 2.0**ell
-
-    g_lhs = ft
-    g_rhs = pow2 * (1.0 - ft) * ftl
-
     applicable = ft >= 1.0 - gamma
-    s_lhs = 1.0 - ftl[applicable]
-    s_rhs = (pow2 / (pow2 * gamma + 1.0)) * (1.0 - ft[applicable])
-
-    witnesses: list[tuple[str, float, float, float]] = []
-
-    g_margin = g_lhs - g_rhs
-    gi = int(np.argmin(g_margin))
-    margin_growth = float(g_margin[gi])
-    if margin_growth < -MARGIN_TOL:
-        witnesses.append(("growth", float(t[gi]), float(g_lhs[gi]), float(g_rhs[gi])))
-
-    if s_lhs.size:
-        s_margin = s_lhs - s_rhs
-        si = int(np.argmin(s_margin))
-        margin_survival = float(s_margin[si])
-        if margin_survival < -MARGIN_TOL:
-            ts = t[applicable]
-            witnesses.append(("survival", float(ts[si]), float(s_lhs[si]), float(s_rhs[si])))
-    else:
-        margin_survival = math.inf
-
-    verdict = "pass" if not witnesses else "fail"
+    growth = _assemble("growth", K, grid_spec, t, ft[None], (pow2 * (1.0 - ft) * ftl)[None], t.size)[0]
+    survival = _assemble(
+        "survival", K, grid_spec, t[applicable], 1.0 - ftl[applicable][None],
+        ((pow2 / (pow2 * gamma + 1.0)) * (1.0 - ft[applicable]))[None], t.size,
+    )[0]
     return GrowthLemmaReport(
         K=K,
         ell=ell,
@@ -337,10 +341,10 @@ def check_lemma_growth(
         grid_spec=grid_spec,
         n_points=t.size,
         n_survival_points=int(np.count_nonzero(applicable)),
-        margin_growth=margin_growth,
-        margin_survival=margin_survival,
-        verdict=verdict,
-        witnesses=tuple(witnesses),
+        margin_growth=growth.margin,
+        margin_survival=survival.margin,
+        verdict="pass" if growth.passed and survival.passed else "fail",
+        witnesses=tuple((c.check, *c.witness) for c in (growth, survival) if c.witness is not None),
     )
 
 

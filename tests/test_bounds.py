@@ -7,7 +7,7 @@ import pytest
 
 import sequential_engine
 from conftest import sweep_laws
-from inidstat import regularity
+from inidstat import bounds, regularity
 from inidstat.bounds import (
     SANDWICH_LOWER_EXP,
     SANDWICH_UPPER_EXP,
@@ -114,6 +114,74 @@ class TestTheorem:
         rep = verify_theorem(m, 2.0)
         assert len(rep.certificates) == 5
         assert len({id(c) for c in rep.certificates}) == 1
+
+
+class TestVerdictRules:
+    """The private rules that every sandwich and tail verdict goes through."""
+
+    PASS = regularity.check_condition(Uniform01(), 2.0)
+    FAIL = regularity.check_condition(Uniform01(), 1.5)
+
+    def test_sandwich_pass_fail_and_precondition(self):
+        # The sandwich is [0.5, 2] * q with q = 1.
+        assert bounds._sandwich_verdict(1.0, 1.5, 0.5, 2.0, (self.PASS,)) == ("pass", True)
+        assert bounds._sandwich_verdict(1.0, 3.0, 0.5, 2.0, (self.PASS,)) == ("fail", False)
+        assert bounds._sandwich_verdict(1.0, 0.25, 0.5, 2.0, (self.PASS,)) == ("fail", False)
+        assert bounds._sandwich_verdict(1.0, 1.5, 0.5, 2.0, (self.PASS, self.FAIL)) == ("precondition-failed", True)
+        assert bounds._sandwich_verdict(1.0, 3.0, 0.5, 2.0, (self.FAIL,)) == ("precondition-failed", False)
+
+    def test_sandwich_relative_tolerance(self):
+        tol = bounds.SANDWICH_REL_TOL
+        # Each side holds up to tol times the larger of its two sides.
+        assert bounds._sandwich_verdict(1.0, 2.0 * (1 + 0.5 * tol), 0.5, 2.0, ()) == ("pass", True)
+        assert bounds._sandwich_verdict(1.0, 2.0 * (1 + 2.0 * tol), 0.5, 2.0, ()) == ("fail", False)
+        assert bounds._sandwich_verdict(1.0, 0.5 * (1 - 0.5 * tol), 0.5, 2.0, ()) == ("pass", True)
+        assert bounds._sandwich_verdict(1.0, 0.5 * (1 - 2.0 * tol), 0.5, 2.0, ()) == ("fail", False)
+
+    def test_tail_row(self):
+        tol = bounds.TAIL_TOL
+        assert bounds._tail_row(0.1, "lower", 0.2, 0.3, 0.3 - 0.5 * tol).verdict == "pass"
+        assert bounds._tail_row(0.1, "lower", 0.2, 0.3, 0.3 - 2.0 * tol).verdict == "fail"
+        assert bounds._tail_row(10.0, "upper", 20.0, 0.3, 1.0).vacuous
+        assert not bounds._tail_row(10.0, "upper", 20.0, 0.3, 0.99).vacuous
+
+    def test_rules_are_not_public(self):
+        assert "sandwich_verdict" not in bounds.__all__ and "tail_row" not in bounds.__all__
+        assert not hasattr(bounds, "sandwich_verdict") and not hasattr(bounds, "tail_row")
+
+
+class TestUnusableInputs:
+    """Inputs that would overflow, underflow or check nothing raise ValueError."""
+
+    M = OrderStatModel(components=(Uniform01(),) * 3, k=2)
+
+    def test_sandwich_power_overflow(self):
+        with pytest.raises(ValueError, match="K\\^13 .* K must be at most"):
+            verify_theorem(self.M, 1e40)
+
+    def test_upper_cutoff_overflow(self):
+        with pytest.raises(ValueError, match="K\\^5 .* K must be at most"):
+            verify_upper_tail(self.M, 1e300, [1e305])
+
+    def test_default_grid_out_of_range(self):
+        with pytest.raises(ValueError, match="count must lie in \\[1, 641\\] at K=3"):
+            default_upper_t_grid(3.0, 700)
+        with pytest.raises(ValueError, match="count must lie in \\[1, 25\\] at K=1e\\+10"):
+            default_lower_t_grid(1e10, 40)
+        # The largest allowed count still gives positive, finite points.
+        assert 0.0 < min(default_lower_t_grid(1e10, 25))
+        assert max(default_upper_t_grid(3.0, 641)) < math.inf
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one(self, count):
+        for grid in (default_lower_t_grid, default_upper_t_grid):
+            with pytest.raises(ValueError, match="count must lie in \\[1, 6"):
+                grid(3.0, count)
+
+    def test_empty_explicit_grid(self):
+        for verify in (verify_lower_tail, verify_upper_tail):
+            with pytest.raises(ValueError, match="at least one t"):
+                verify(self.M, 3.0, [])
 
 
 class TestSharedQuantile:

@@ -8,7 +8,7 @@ import pytest
 
 from inidstat import cli
 from inidstat.bounds import TailBoundRow, TheoremReport, verify_theorem
-from inidstat.dist import Atomic, Exponential, ParetoPower, Uniform01
+from inidstat.dist import Atomic, Exponential, HalfGaussian, ParetoPower, PiecewiseLinearCdf, Uniform01
 from inidstat.mc import SimResult, simulate_median
 from inidstat.ostat import OrderStatModel
 from inidstat.regularity import (
@@ -17,6 +17,8 @@ from inidstat.regularity import (
     MinKResult,
     RegularityCertificate,
     check_condition,
+    check_measure_form,
+    check_weak_condition,
     find_min_K,
 )
 
@@ -63,6 +65,14 @@ class TestBuildDistribution:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown parameter"):
             cli.build_distribution("exponential", {"p": 2.0})
+
+    def test_defaults_are_the_laws_own(self):
+        for family, cls in [("uniform01", Uniform01), ("pareto_power", ParetoPower),
+                            ("exponential", Exponential), ("half_gaussian", HalfGaussian),
+                            ("piecewise_linear", PiecewiseLinearCdf), ("atomic", Atomic)]:
+            assert cli.build_distribution(family, None, 3.0) == cls(scale=3.0)
+        assert cli.KNOWN_FAMILIES == ("atomic", "exponential", "half_gaussian", "pareto_power",
+                                      "piecewise_linear", "uniform01")
 
 
 class TestParseModelSpec:
@@ -159,6 +169,29 @@ class TestJsonRoundTrips:
         cert = RegularityCertificate.from_dict(json.loads(capsys.readouterr().out))
         assert cert == check_condition(Uniform01(), 2.0, GridSpec(0.01, 1.0, 8))
 
+    @pytest.mark.parametrize("form, checker", [
+        ("condition", check_condition),
+        ("measure-form", check_measure_form),
+        ("weak-condition", check_weak_condition),
+    ])
+    @pytest.mark.parametrize("flags, law", [
+        (["--family", "uniform01", "--K", "1.5"], Uniform01()),
+        (["--family", "half_gaussian", "--sigma", "0.3", "--scale", "7", "--K", "3"], HalfGaussian(sigma=0.3, scale=7.0)),
+        (["--family", "atomic", "--atoms", "[[0.5,0.3],[1.5,0.7]]", "--K", "2"], Atomic(atoms=((0.5, 0.3), (1.5, 0.7)))),
+    ], ids=["uniform", "half_gaussian", "atomic"])
+    def test_check_condition_forms(self, capsys, tmp_path, form, checker, flags, law):
+        grid = GridSpec(0.01, 100.0, 4)
+        argv = ["check-condition", *flags, "--form", form, "--grid", "0.01:100:4"]
+        code = cli.main(argv + ["--format", "json"])
+        cert = RegularityCertificate.from_dict(json.loads(capsys.readouterr().out))
+        K = float(flags[-1])
+        assert cert == checker(law, K, grid)
+        assert code == (0 if cert.passed else 1)
+        # The rows are judged by the certificate's rule.
+        assert cli.main(argv + ["--format", "csv"]) == code
+        verdicts = [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert ("fail" in verdicts) == (not cert.passed)
+
     def test_min_k(self, capsys):
         code = cli.main(["min-k", "--family", "pareto_power", "--p", "2", "--format", "json"])
         assert code == 0
@@ -240,19 +273,22 @@ class TestExitCodes:
         assert cli.main(["verify-theorem", "--model", uniform3_spec, "--K", "1.5"]) == 1
         assert "precondition-failed" in capsys.readouterr().out
 
-    def test_override_bound_forces_failure(self, capsys, uniform3_spec):
-        argv = ["verify-theorem", "--model", uniform3_spec, "--K", "2",
-                "--unsafe-override-bound", "0"]
-        assert cli.main(argv) == 1
-        capsys.readouterr()
-        argv = ["tail-bounds", "--model", uniform3_spec, "--K", "2", "--side", "lower",
-                "--unsafe-override-bound", "0"]
-        assert cli.main(argv) == 1
-        capsys.readouterr()
-        # A neutral factor leaves the verdicts alone.
-        argv[-1] = "1"
-        assert cli.main(argv) == 0
-        capsys.readouterr()
+    def test_tail_bounds_failure_is_one(self, capsys, tmp_path):
+        # A lone atom of weight 0.49 at 0 puts 0.49 below every lower threshold.
+        path = tmp_path / "atomic.json"
+        spec = {"k": 1, "components": [{"family": "atomic", "params": {"atoms": [[0, 0.49], [1, 0.51]]}}]}
+        path.write_text(json.dumps(spec))
+        assert cli.main(["tail-bounds", "--model", str(path), "--K", "2", "--side", "lower"]) == 1
+        assert "overall: fail" in capsys.readouterr().out
+
+    def test_override_flag_is_gone(self, capsys, uniform3_spec):
+        for argv in (
+            ["verify-theorem", "--model", uniform3_spec, "--K", "2", "--unsafe-override-bound", "0"],
+            ["tail-bounds", "--model", uniform3_spec, "--K", "2", "--side", "lower",
+             "--unsafe-override-bound", "0"],
+        ):
+            assert cli.main(argv) == 2, argv
+            capsys.readouterr()
 
     def test_usage_errors_are_two(self, capsys, uniform3_spec, tmp_path):
         cases = [
@@ -268,6 +304,23 @@ class TestExitCodes:
         for argv in cases:
             assert cli.main(argv) == 2, argv
             capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-theorem", "--model", "{u3}", "--K", "1e40"], "K must be at most"),
+        (["tail-bounds", "--model", "{u3}", "--K", "1e10", "--side", "lower", "--count", "40"],
+         "count must lie in [1, 25] at K=1e+10"),
+        (["tail-bounds", "--model", "{u3}", "--K", "3", "--count", "0"], "count must lie in [1, 639] at K=3"),
+        (["tail-bounds", "--model", "{u3}", "--K", "3", "--count", "-2"], "count must lie in [1, 639] at K=3"),
+        (["tail-bounds", "--model", "{u3}", "--K", "2", "--side", "lower", "--t", "1e-4", "--count", "3"],
+         "--count"),
+        (["oracle", "--trials", "0"], "--trials must be at least 1"),
+        (["check-condition", "--family", "exponential", "--p", "2", "--K", "2"], "allowed: ('rate',)"),
+    ], ids=["huge-K", "grid-underflow", "count-0", "count-negative", "count-with-t", "trials-0", "foreign-flag"])
+    def test_unusable_inputs_are_two(self, capsys, uniform3_spec, argv, message):
+        argv = [a.format(u3=uniform3_spec) for a in argv]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
 
     def test_malformed_pairs_are_one_error_line(self, capsys):
         for argv in (

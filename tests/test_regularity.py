@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import CATALOGUE
-from inidstat.dist import Atomic, Exponential, ParetoPower, Uniform01
+from inidstat.dist import Atomic, Exponential, ParetoPower, PiecewiseLinearCdf, Uniform01
 from inidstat.regularity import (
     DEFAULT_GRID,
+    GRID_NOTE,
     MARGIN_TOL,
     GridSpec,
     GrowthLemmaReport,
@@ -164,6 +165,56 @@ class TestGrowthLemma:
             check_lemma_growth(Uniform01(), 2.0, 1, 0.0)
         with pytest.raises(ValueError):
             check_lemma_growth(Uniform01(), 2.0, 1, 1.0)
+
+    def test_ell_overflow(self):
+        with pytest.raises(ValueError, match="ell must lie in \\[1, 1023\\] at K=2"):
+            check_lemma_growth(Uniform01(), 2.0, 2000, 0.5)
+        # K^ell binds before 2^ell once K > 2.
+        with pytest.raises(ValueError, match="ell must lie in \\[1, 646\\] at K=3"):
+            check_lemma_growth(Exponential(rate=1.0), 3.0, 647, 0.5)
+        assert check_lemma_growth(Uniform01(), 2.0, 1023, 0.5).passed
+
+    # Coarse grids miss the condition's failures, and there the lemma's own
+    # inequalities can fail.  Both reports are pinned as first computed.
+    COARSE = GridSpec(1e-3, 1e3, 1)
+
+    def test_growth_witness(self):
+        d = PiecewiseLinearCdf(knots=(
+            (0, 0), (0.027803820057333208, 0.22469891067846148),
+            (0.06399453231933833, 0.23905317343430266), (0.06659366578060014, 1.0),
+        ))
+        assert check_condition(d, 3.0, self.COARSE).passed
+        rep = check_lemma_growth(d, 3.0, 1, 0.2, self.COARSE)
+        assert rep.to_dict() == {
+            "K": 3.0, "ell": 1, "gamma": 0.2,
+            "grid_spec": {"t_min": 0.001, "t_max": 1000.0, "points_per_decade": 1},
+            "n_points": 17, "n_survival_points": 8,
+            "margin_growth": -0.023309724057585413, "margin_survival": 0.0, "verdict": "fail",
+            "witnesses": [["growth", 0.06399453231933833, 0.23905317343430266, 0.26236289749188807]],
+            "note": GRID_NOTE,
+        }
+
+    def test_survival_witness(self):
+        # A flat stretch at F = 0.6 just shorter than a factor K, reached by a
+        # rise whose failing points fall between the grid's decades.
+        d = PiecewiseLinearCdf(knots=((0, 0), (2, 0.4), (3, 0.6), (8.85, 0.6), (8.9, 1.0)))
+        assert check_condition(d, 3.0, self.COARSE).passed
+        assert not check_condition(d, 3.0).passed
+        rep = check_lemma_growth(d, 3.0, 1, 0.45, self.COARSE)
+        assert rep.to_dict() == {
+            "K": 3.0, "ell": 1, "gamma": 0.45,
+            "grid_spec": {"t_min": 0.001, "t_max": 1000.0, "points_per_decade": 1},
+            "n_points": 20, "n_survival_points": 12,
+            "margin_growth": 0.0, "margin_survival": -0.011052631578947203, "verdict": "fail",
+            "witnesses": [["survival", 8.849999999999998, 0.41000000000000014, 0.42105263157894735]],
+            "note": GRID_NOTE,
+        }
+
+    def test_no_survival_points_pass(self):
+        # F(t) <= 0.1 on the grid, so F(t) >= 1 - gamma holds nowhere.
+        rep = check_lemma_growth(Uniform01(scale=100.0), 2.0, 1, 0.5, GridSpec(0.1, 10.0, 4))
+        assert rep.n_survival_points == 0
+        assert rep.margin_survival == math.inf and rep.passed
 
 
 class TestMinK:
