@@ -52,7 +52,7 @@ from .bounds import (
     verify_theorem,
     verify_upper_tail,
 )
-from .mc import SimResult, sample, simulate_median
+from .mc import SimResult, simulate_median
 
 __version__ = "0.1.0"
 
@@ -98,7 +98,6 @@ __all__ = [
     "verify_theorem",
     "verify_upper_tail",
     "SimResult",
-    "sample",
     "simulate_median",
     "__version__",
 ]

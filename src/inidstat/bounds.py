@@ -18,13 +18,15 @@ checks share it; the exact median search starts from q, as the theorem puts
 Med close to it.
 
 Each verdict rule is one private function, ``_sandwich_verdict`` or
-``_tail_row``.  The powers of K used and the default grid points must be
-normal doubles: a K or count past that raises ValueError.
+``_tail_row``.  The powers of K used, the default grid points and the
+thresholds t*q must be normal doubles: a K, count or t past that raises
+ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._record import Record
@@ -227,6 +229,9 @@ def _tail_rows(model, K, t_grid, side) -> list[TailBoundRow]:
 
     q = averaged_quantile(model)
     thresholds = [t * q for t in ts]
+    for t, x in zip(ts, thresholds):
+        if not sys.float_info.min <= x <= sys.float_info.max:
+            raise ValueError(f"threshold t*q = {x!r} at t={t!r} (q = {q!r}) is not a positive, finite, normal double")
     if side == "lower":
         exact = kmin_strict_cdf(model, thresholds).tolist()
         bounds = [lower_tail_bound(t, K) for t in ts]

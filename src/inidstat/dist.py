@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,15 +35,16 @@ _SQRT2 = math.sqrt(2.0)
 
 # Quantile search limits.  The stopping width is
 # min(abs_tol * max(1, hi), rel_tol * hi) so answers stay accurate in relative
-# terms even when the quantile is far below 1; answers above 2**200 (200
-# doublings of 1) are reported as not reached.
+# terms even when the quantile is far below 1; answers above the largest
+# finite double are reported as not reached.
 _BISECT_ABS_TOL = 1e-12
 _BISECT_REL_TOL = 1e-10
-_LIMIT = 2.0**200
+_LIMIT = sys.float_info.max
 
 # The cold bracket, in the order probed, four per call, until none is left
-# inside: 0, 1, 2**-4, 2**4, 2**-8, 2**8, ..., 2**-1024, 2**200 and 5e-324.
-_LADDER = tuple(dict.fromkeys([0.0, 1.0, *(2.0**e for m in range(2, 11) for e in (-(2**m), min(2**m, 200))), 5e-324]))
+# inside: 0, 1, 2**-4, 2**4, 2**-8, 2**8, ..., 2**-1024, 2**1023, the largest
+# finite double and 5e-324.
+_LADDER = (0.0, 1.0, *(2.0**e for m in range(2, 11) for e in (-(2**m), min(2**m, 1023))), _LIMIT, 5e-324)
 
 # Relative distances from a guess to the inner and outer points of the first call.
 _GUESS_NEAR, _GUESS_FAR = 2e-3, 2e-2
@@ -57,28 +59,57 @@ def _wrap(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
+def _padded(count: int, *rows) -> tuple[np.ndarray, ...]:
+    # The tables of a law with ``count`` atoms or knots: each row, then copies
+    # of its last entry up to the least power of two above ``count``.
+    width = 1 << count.bit_length()
+    return tuple(np.array([*row, *[row[-1]] * (width - len(row))]) for row in rows)
+
+
+def _rank(table: np.ndarray, x, strict: bool = False) -> np.ndarray:
+    """Flat index, for ``np.take``, of the last entry of each row at most x (below x if ``strict``).
+
+    The rows lie along the last axis of ``table``, sorted, with a power-of-two
+    width; the other axes broadcast against x.  The index is that of row[k-1]
+    for k = ``np.searchsorted(row[:-1], x)``, side "right" ("left" if
+    ``strict``), NaN above every entry; at k = 0 it reads an entry that the
+    caller discards.  A fixed ladder of halvings, one probe per point and
+    halving, finds it in O(size(x) * log width) time, with no temporary wider
+    than the points.
+    """
+    width = table.shape[-1]
+    at = np.arange(-1, table.size - 1, width).reshape(table.shape[:-1])
+    for h in (width >> j for j in range(1, width.bit_length())):
+        at = at + h
+        at = at - h * (x <= np.take(table, at) if strict else x < np.take(table, at))
+    return at
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Base class for a non-negative scalar law with a multiplicative scale.
 
-    A parametric family names its positive real parameters in ``_params`` and
-    writes its unit-scale cdf and quantile once each, as
-    ``_cdf_formula(x, *params)`` and ``_quantile_formula(r, *params)``.  The
-    formulas broadcast over parameter arrays, so ``MixtureCdf.family_blocks``
-    and ``MixtureCdf.family_quantiles`` evaluate every member of the family
-    in one call to the same code; such families are continuous.  A parameter
-    named in ``_scalar_params`` reaches the quantile formula as a Python
-    float, never as an array: a mixture keeps one block per value of it.
-    Other families leave the formulas unset and override ``_unit_cdf`` and
-    ``_unit_quantile``.
+    Each family writes its unit-scale cdf and quantile once each, as
+    ``_cdf_formula(x, *args)`` and ``_quantile_formula(r, *args)``, the
+    latter for 0 < r <= 1, and a family with atoms its left limit,
+    ``_cdf_left_formula``.  A law's ``_args`` are its positive real
+    parameters, named in ``_params``, then its ``_tables``, which a law with
+    atoms or knots sets on construction: 1-D arrays of a power-of-two width.
+    The formulas broadcast over args stacked as a column against the points,
+    so ``MixtureCdf.family_blocks`` and ``MixtureCdf.family_quantiles``
+    evaluate a block of laws in one call to the code a single law runs.  A
+    block's laws share their family and the values named in
+    ``_scalar_params``: parameters, which reach the quantile formula as
+    Python floats, never as arrays, or the ``_table_width``.
     """
 
     scale: float = field(default=1.0, kw_only=True)
 
     _params: ClassVar[tuple[str, ...]] = ()
     _scalar_params: ClassVar[tuple[str, ...]] = ()
-    _cdf_formula: ClassVar[Optional[Callable[..., np.ndarray]]] = None
-    _quantile_formula: ClassVar[Optional[Callable[..., np.ndarray]]] = None
+    _tables: ClassVar[tuple[np.ndarray, ...]] = ()
+    _cdf_formula: ClassVar[Callable[..., np.ndarray]]
+    _quantile_formula: ClassVar[Callable[..., np.ndarray]]
     # Laws with atoms or knots compute theirs once, as a cached property.
     _special_points: ClassVar[tuple[float, ...]] = ()
 
@@ -89,29 +120,30 @@ class Distribution:
                 raise ValueError(f"{name} must be a finite positive real, got {v!r}")
             object.__setattr__(self, name, float(v))
 
-    # Subclass hooks, all expressed on the unit-scale law.
+    @classmethod
+    def _cdf_left_formula(cls, x, *args):
+        # Laws without atoms: the left limit coincides with the cdf.
+        return cls._cdf_formula(x, *args)
 
-    def _unit_cdf(self, x: np.ndarray) -> np.ndarray:
-        return self._cdf_formula(x, *(getattr(self, name) for name in self._params))
+    @property
+    def _args(self) -> tuple:
+        return (*(getattr(self, name) for name in self._params), *self._tables)
 
-    def _unit_cdf_left(self, x: np.ndarray) -> np.ndarray:
-        # Continuous laws: the left limit coincides with the cdf.
-        return self._unit_cdf(x)
-
-    def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
-        return self._quantile_formula(r, *(getattr(self, name) for name in self._params))
+    @property
+    def _table_width(self) -> int:
+        return len(self._tables[0])
 
     # Public surface.
 
     def cdf(self, t):
         """P{X <= t}; accepts a scalar or an array, returns the same shape."""
         x, scalar = _split(t)
-        return _wrap(self._unit_cdf(x / self.scale), scalar)
+        return _wrap(self._cdf_formula(x / self.scale, *self._args), scalar)
 
     def cdf_left_limit(self, t):
         """P{X < t}, the left limit of the cdf at ``t``."""
         x, scalar = _split(t)
-        return _wrap(self._unit_cdf_left(x / self.scale), scalar)
+        return _wrap(self._cdf_left_formula(x / self.scale, *self._args), scalar)
 
     def survival(self, t):
         """P{X > t} as ``1 - cdf(t)``: accurate in absolute terms only.
@@ -119,7 +151,7 @@ class Distribution:
         ``Exponential(1).survival(50.0)`` returns 0.0; the true value is 1.9e-22.
         """
         x, scalar = _split(t)
-        return _wrap(1.0 - self._unit_cdf(x / self.scale), scalar)
+        return _wrap(1.0 - self._cdf_formula(x / self.scale, *self._args), scalar)
 
     def quantile(self, r):
         """Left quantile inf{t : F(t) >= r} for r in [0, 1]."""
@@ -128,7 +160,7 @@ class Distribution:
         if not ((low := x.min(initial=1.0)) >= 0.0 and x.max(initial=0.0) <= 1.0):
             raise ValueError("quantile order must lie in [0, 1]")
         with np.errstate(divide="ignore"):
-            out = self.scale * self._unit_quantile(x)
+            out = self.scale * self._quantile_formula(x, *self._args)
         if low == 0.0:
             out = np.where(x == 0.0, 0.0, out)
         return _wrap(out, scalar)
@@ -230,6 +262,7 @@ class PiecewiseLinearCdf(Distribution):
     """
 
     knots: tuple[tuple[float, float], ...] = ((0.0, 0.0), (1.0, 1.0))
+    _scalar_params = ("_table_width",)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -248,29 +281,26 @@ class PiecewiseLinearCdf(Distribution):
         if fs[0] != 0.0 or fs[-1] != 1.0:
             raise ValueError("knot cdf values must start at 0 and end at 1")
         object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_tables", _padded(len(knots), ts, fs))
 
-    @cached_property
-    def _kt(self) -> np.ndarray:
-        return np.array([t for t, _ in self.knots])
-
-    @cached_property
-    def _kf(self) -> np.ndarray:
-        return np.array([f for _, f in self.knots])
-
-    def _unit_cdf(self, x: np.ndarray) -> np.ndarray:
-        return np.interp(x, self._kt, self._kf, left=0.0, right=1.0)
-
-    def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
-        rr = np.asarray(r, dtype=float)
-        idx = np.searchsorted(self._kf, rr, side="left")
-        idx = np.clip(idx, 1, self._kf.size - 1)
-        lo_t, hi_t = self._kt[idx - 1], self._kt[idx]
-        lo_f, hi_f = self._kf[idx - 1], self._kf[idx]
+    @staticmethod
+    def _cdf_formula(x, kt, kf):
+        # numpy's interp: slope * (x - t0) + f0 on the knot interval
+        # [t0, t1) holding x, f0 at a knot, 0 below the first and 1 from the last.
+        at = _rank(kt, x)
+        t0, t1, f0, f1 = (np.take(a, j) for a in (kt, kf) for j in (at, at + 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (rr - lo_f) / (hi_f - lo_f)
-        out = lo_t + np.where(hi_f > lo_f, frac, 1.0) * (hi_t - lo_t)
-        # Orders at or below the first knot's cdf value resolve to that knot.
-        return np.where(rr <= self._kf[0], self._kt[0], out)
+            line = (f1 - f0) / (t1 - t0) * (x - t0) + f0
+        return np.where(x < kt[..., 0], 0.0, np.where(x >= kt[..., -1], 1.0, np.where(x == t0, f0, line)))
+
+    @staticmethod
+    def _quantile_formula(r, kt, kf):
+        # Between the knots around the first F reaching r; a flat stretch gives its left edge.
+        at = _rank(kf, r, strict=True)
+        t0, t1, f0, f1 = (np.take(a, j) for a in (kt, kf) for j in (at, at + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = (r - f0) / (f1 - f0)
+        return t0 + np.where(f1 > f0, frac, 1.0) * (t1 - t0)
 
     @cached_property
     def _special_points(self) -> tuple[float, ...]:
@@ -286,6 +316,7 @@ class Atomic(Distribution):
     """
 
     atoms: tuple[tuple[float, float], ...] = ((1.0, 1.0),)
+    _scalar_params = ("_table_width",)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -304,28 +335,23 @@ class Atomic(Distribution):
         if abs(math.fsum(ws) - 1.0) > 1e-9:
             raise ValueError(f"atom weights must sum to 1, got {math.fsum(ws)!r}")
         object.__setattr__(self, "atoms", atoms)
+        # The values, and 0 then the cumulative weights, the last exactly 1.
+        cum = np.cumsum(ws)
+        cum[-1] = 1.0
+        object.__setattr__(self, "_tables", _padded(len(vs), vs, [0.0, *cum]))
 
-    @cached_property
-    def _values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.atoms])
+    @staticmethod
+    def _cdf_formula(x, values, cum):
+        return np.take(cum, _rank(values, x) + 1)
 
-    @cached_property
-    def _cumw(self) -> np.ndarray:
-        c = np.cumsum([w for _, w in self.atoms])
-        c[-1] = 1.0
-        return c
+    @staticmethod
+    def _cdf_left_formula(x, values, cum):
+        return np.take(cum, _rank(values, x, strict=True) + 1)
 
-    def _unit_cdf(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._values, x, side="right")
-        return np.where(idx > 0, self._cumw[np.maximum(idx, 1) - 1], 0.0)
-
-    def _unit_cdf_left(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._values, x, side="left")
-        return np.where(idx > 0, self._cumw[np.maximum(idx, 1) - 1], 0.0)
-
-    def _unit_quantile(self, r: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._cumw, r, side="left")
-        return self._values[np.minimum(idx, self._values.size - 1)]
+    @staticmethod
+    def _quantile_formula(r, values, cum):
+        # The first atom whose cumulative weight reaches r > 0.
+        return np.take(values, _rank(cum, r, strict=True))
 
     @cached_property
     def _special_points(self) -> tuple[float, ...]:
@@ -482,39 +508,32 @@ class MixtureCdf:
         return len(self.components)
 
     @cached_property
-    def _batch(self) -> tuple[list, list]:
-        # One (indices, family, scales, parameter arrays) group per
-        # parametric family and value of its scalar parameters, and the
-        # (index, law) pairs of the other laws.
+    def _batch(self) -> list:
+        # One (indices, family, scales, stacked args) block per family and
+        # value of its scalar parameters.
         members: dict[tuple, list[int]] = {}
-        others = []
         for i, d in enumerate(self.components):
-            if d._cdf_formula is None:
-                others.append((i, d))
-            else:
-                members.setdefault((type(d), *(getattr(d, name) for name in d._scalar_params)), []).append(i)
-        groups = [
+            members.setdefault((type(d), *(getattr(d, name) for name in d._scalar_params)), []).append(i)
+        return [
             (
                 np.array(idx, dtype=np.intp),
                 key[0],
                 np.array([self.components[i].scale for i in idx]),
-                [np.array([getattr(self.components[i], name) for i in idx]) for name in key[0]._params],
+                [np.array([getattr(self.components[i], name) for i in idx]) for name in key[0]._params]
+                + [np.array(column) for column in zip(*(self.components[i]._tables for i in idx))],
             )
             for key, idx in members.items()
         ]
-        return groups, others
 
     @cached_property
     def _family_order(self) -> np.ndarray:
-        # The components group by group, then the other laws.
-        groups, others = self._batch
-        return np.concatenate([idx for idx, *_ in groups] + [np.array([i for i, _ in others], dtype=np.intp)])
+        # The components block by block.
+        return np.concatenate([idx for idx, *_ in self._batch])
 
     @property
     def quantile_calls(self) -> int:
-        """Formula or law calls that one ``family_quantiles`` call makes."""
-        groups, others = self._batch
-        return len(groups) + len(others)
+        """Formula calls that one ``family_quantiles`` call makes: one per block."""
+        return len(self._batch)
 
     def family_blocks(
         self, t, left: bool = False, cells: Optional[int] = None
@@ -522,56 +541,48 @@ class MixtureCdf:
         """Yield (indices, values): ``values[j]`` is F_i(t), or F_i(t-) if ``left``, for i = indices[j].
 
         ``values`` has shape ``(len(indices),) + shape(t)``, one law per row.
-        Each parametric family block, one per value of the family's scalar
-        parameters, is evaluated in one call of its ``_cdf_formula`` on
-        stacked parameters, the same code ``d.cdf`` runs, or, if ``cells`` is
-        given, in one call per run of at most ``cells // t.size`` members.
-        The values equal ``d.cdf(t)`` bit for bit as long as numpy's
-        elementwise functions do not depend on the array's shape; the test
-        suite checks that over every family.  Other laws come one at a time.
+        Each block of laws is evaluated in one call of its ``_cdf_formula``
+        (``_cdf_left_formula`` if ``left``) on stacked args, the code
+        ``d.cdf`` runs, or, if ``cells`` is given, in one call per run of at
+        most ``cells // t.size`` members.  The values equal ``d.cdf(t)`` bit
+        for bit as long as numpy's elementwise functions do not depend on the
+        array's shape; the test suite checks that over every family.
         """
         t = np.asarray(t, dtype=float)
-        groups, others = self._batch
         # A float divides faster than a 0-d array, and changes no bit.
         x = t if t.ndim else float(t)
-        for idx, cls, scales, params in groups:
+        for idx, cls, scales, args in self._batch:
+            formula = cls._cdf_left_formula if left else cls._cdf_formula
             step = idx.size if cells is None else max(1, cells // max(1, t.size))
             for s in range(0, idx.size, step):
-                # The members' parameters as a column against the points.
+                # The members' args as a column against the points.
                 run = (slice(s, s + step),) + (None,) * t.ndim
-                yield idx[run[0]], cls._cdf_formula(x / scales[run], *(p[run] for p in params))
-        for i, d in others:
-            yield np.array([i]), np.asarray(d.cdf_left_limit(t) if left else d.cdf(t))[None]
+                yield idx[run[0]], formula(x / scales[run], *(a[run] for a in args))
 
     def family_quantiles(self, u) -> np.ndarray:
-        """The quantile of each law at its own orders, with the rows grouped by family.
+        """The quantile of each law at its own orders, with the rows grouped by block.
 
         ``u`` holds one array of orders per law, shape ``(n,) + S``, row i for
         component i; every order must lie strictly inside (0, 1).  The result
-        has the same shape and holds one row per component, each equal to
-        ``d.quantile`` of that component at its orders bit for bit, but the
-        rows come in an order fixed per mixture that puts each family block
-        together: it suits uses that do not depend on the order of the laws,
-        such as order statistics.  A parametric family block is evaluated in
-        one call of its ``_quantile_formula``, the code ``d.quantile`` runs,
-        on stacked parameters; its members share their scalar parameters,
-        which the formula gets as Python floats.  Other laws come one at a
-        time, so a call makes ``quantile_calls`` calls in all.
+        has the same shape, one row per component equal to ``d.quantile`` at
+        its orders bit for bit, but in an order fixed per mixture that puts
+        each block together: it suits uses that ignore the order of the laws,
+        such as order statistics.  Each block takes one call of its
+        ``_quantile_formula``, the code ``d.quantile`` runs, on stacked args,
+        so a call makes ``quantile_calls`` calls in all.
         """
         x = np.asarray(u, dtype=float)[self._family_order]
         # min and max propagate NaN, which fails both comparisons.
         if not (x.min() > 0.0 and x.max() < 1.0):
             raise ValueError("quantile orders must lie strictly inside (0, 1)")
-        groups, others = self._batch
         column = (slice(None),) + (None,) * (x.ndim - 1)
         start = 0
-        for idx, cls, scales, params in groups:
+        for idx, cls, scales, stacked in self._batch:
             rows = slice(start, start + idx.size)
-            args = (float(p[0]) if name in cls._scalar_params else p[column] for name, p in zip(cls._params, params))
+            scalar = [i for i, name in enumerate(cls._params) if name in cls._scalar_params]
+            args = (float(a[0]) if i in scalar else a[column] for i, a in enumerate(stacked))
             x[rows] = scales[column] * cls._quantile_formula(x[rows], *args)
             start = rows.stop
-        for start, (_, d) in enumerate(others, start):
-            x[start:start + 1] = d.scale * d._unit_quantile(x[start:start + 1])
         return x
 
     def component_cdfs(self, t, left: bool = False) -> np.ndarray:

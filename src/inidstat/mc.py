@@ -26,12 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._record import Record
-from .dist import Distribution
 from .ostat import OrderStatModel
 
 __all__ = [
     "SimResult",
-    "sample",
     "median_ci_ranks",
     "simulate_median",
 ]
@@ -41,13 +39,12 @@ _GENERATOR_TAG = "philox4x64(key = seed mod 2**64); replicate j reads draws [j*n
 _MIN_REPLICATES = 100
 # Uniforms drawn per chunk: at least _CHUNK_VARIATES and, up to
 # _MAX_CHUNK_VARIATES, _BLOCK_VARIATES per quantile call, so that one call
-# per family block and per law outside a family stays amortised; the row
-# floor keeps that true for very wide models.  On the monte-carlo benchmark,
-# whose models make at most six calls, chunks of 2**15 ran a round about 40%
-# faster than 2**20 (2-core Xeon VM): the chunk, its gathered copy and the
-# block temporaries stay in cache.  With one call per law, as for 400
-# atomic, piecewise-linear or distinct-p Pareto laws, chunks of 2**15 ran
-# 2.6 to 6.3 times slower than chunks of 2**20 (2**12 per call, capped).
+# per block stays amortised; the row floor keeps that true for very wide
+# models.  On the monte-carlo benchmark, whose models make at most six calls,
+# chunks of 2**15 ran a round about 40% faster than 2**20 (2-core Xeon VM):
+# the chunk, its gathered copy and the block temporaries stay in cache.  Many
+# blocks come only from Pareto laws of distinct p, one block each: 400 such
+# laws (R = 20,000) took 0.24 s with this rule, 0.90 s in chunks of 2**15.
 _CHUNK_VARIATES = 1 << 15
 _BLOCK_VARIATES = 1 << 12
 _MAX_CHUNK_VARIATES = 1 << 20
@@ -64,15 +61,6 @@ class SimResult(Record):
     seed: int
     generator: str
     elapsed: float = field(compare=False)
-
-
-def sample(d: Distribution, u):
-    """Inverse-transform sample: quantile(d, u) for u in the open unit interval."""
-    arr = np.asarray(u, dtype=float)
-    # min and max propagate NaN, which fails both comparisons.
-    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
-        raise ValueError("u must lie strictly inside (0, 1)")
-    return d.quantile(u)
 
 
 def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:

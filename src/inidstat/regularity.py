@@ -214,25 +214,18 @@ def check_condition_batch(
 ) -> tuple[RegularityCertificate, ...]:
     """``check_condition`` for each law, in order.
 
-    Laws without special points share the plain grid and are evaluated law
-    by law in blocks, one block per family and run of about _BATCH_CELLS
-    grid cells: ``MixtureCdf.family_blocks`` calls the family's cdf formula,
-    the code ``d.cdf`` runs, once on the block's stacked parameters at t and
-    once at K*t, and each block's margins, worst points and certificates come
-    from one subtraction and one argmin over its rows.  A law with atoms or
-    knots is checked on its own grid.  Each certificate is the one its law
-    gets alone, and the working memory stays near a few blocks whatever the
-    number of laws.
+    Laws without atoms or knots share the plain grid and are evaluated in
+    the family blocks of ``MixtureCdf.family_blocks``, in runs of about
+    _BATCH_CELLS grid cells: one call of the block's cdf formula, the code
+    ``d.cdf`` runs, on its stacked args at t and one at K*t, and one
+    subtraction and one argmin over its rows for the margins, worst points
+    and certificates.  A law with atoms or knots is checked on its own grid,
+    as a block of one.  Each certificate is the one its law gets alone, and
+    the working memory stays near a few blocks whatever the number of laws.
     """
     K = _check_K(K)
-    jobs = []
-    plain = []
-    for i, d in enumerate(laws):
-        if d.special_points():
-            jobs.append([i])
-        else:
-            plain.append(i)
-    if plain:
+    jobs = [[i] for i, d in enumerate(laws) if d.special_points()]
+    if plain := [i for i, d in enumerate(laws) if not d.special_points()]:
         jobs.append(plain)
     certs: list = [None] * len(laws)
     for idx in jobs:

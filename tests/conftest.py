@@ -81,6 +81,32 @@ def sweep_laws(rng: np.random.Generator, n: int) -> tuple:
     return tuple(laws)
 
 
+def ragged_laws(rng: np.random.Generator, n: int) -> tuple:
+    """n table laws of ragged widths: Atomic with 1 to 8 atoms, PiecewiseLinearCdf with 2 to 8 knots.
+
+    Atoms and knots lie on multiples of a unit, 0 among them; about one knot
+    list in three has a flat stretch.  A quarter of the laws have scale 1, so
+    that points hit the atoms and knots exactly; the rest span [1e-3, 1e3].
+    """
+    laws = []
+    while len(laws) < n:
+        scale = 1.0 if rng.random() < 0.25 else float(10.0 ** rng.uniform(-3.0, 3.0))
+        unit = float(rng.choice([0.1, 0.37, 1.0, 3.0]))
+        if rng.random() < 0.5:
+            width = int(rng.integers(1, 9))
+            values = np.sort(rng.choice(12, size=width, replace=False)) * unit
+            weights = rng.random(width) + 0.05
+            laws.append(Atomic(atoms=tuple(zip(values.tolist(), (weights / weights.sum()).tolist())), scale=scale))
+        else:
+            width = int(rng.integers(2, 9))
+            ts = np.sort(rng.choice(12, size=width, replace=False)) * unit
+            fs = np.sort(rng.random(width - 2))
+            if width > 3 and rng.random() < 0.4:
+                fs[1] = fs[0]
+            laws.append(PiecewiseLinearCdf(knots=tuple(zip(ts.tolist(), [0.0, *fs.tolist(), 1.0])), scale=scale))
+    return tuple(laws)
+
+
 def sweep_points(rng: np.random.Generator, laws, size: int) -> np.ndarray:
     """Log-uniform t in [1e-6, 1e6], covering 1e-4..1e4 times every scale, plus the laws' jumps and knots."""
     special = sorted({s for d in laws for s in d.special_points()})

@@ -9,6 +9,8 @@ interpolating search must meet the same left-quantile contract
 (``check_left_quantile``), not return the same float.
 """
 
+import sys
+
 import numpy as np
 
 from inidstat.regularity import MARGIN_TOL, RegularityCertificate
@@ -66,16 +68,16 @@ def left_quantile(cdf, r: float, candidates=()) -> float:
         else:
             lo = 0.0
     else:
-        for _ in range(MAX_DOUBLINGS):
-            hi *= 2.0
-            if cdf(hi) >= r:
-                break
-        else:
-            raise ValueError(f"quantile order {r!r} not reached below t = {hi:g}")
+        # Doubling up to the largest finite double.
+        while cdf(hi) < r:
+            if hi == sys.float_info.max:
+                raise ValueError(f"quantile order {r!r} not reached below t = {hi:g}")
+            hi = min(2.0 * hi, sys.float_info.max)
         lo = hi / 2.0
 
     while hi - lo > min(BISECT_ABS_TOL * max(1.0, hi), BISECT_REL_TOL * hi):
-        mid = 0.5 * (lo + hi)
+        # Halves first where lo + hi would overflow.
+        mid = 0.5 * (lo + hi) if hi < sys.float_info.max / 2.0 else 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
         if cdf(mid) >= r:

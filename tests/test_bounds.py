@@ -172,6 +172,16 @@ class TestUnusableInputs:
         assert 0.0 < min(default_lower_t_grid(1e10, 25))
         assert max(default_upper_t_grid(3.0, 641)) < math.inf
 
+    def test_thresholds_out_of_range(self):
+        # t*q underflows to 0 at the lower grid's end and overflows to inf
+        # at the upper grid's end; such a row would check nothing.
+        tiny = OrderStatModel(components=(Uniform01(scale=1e-100),) * 3, k=2)
+        with pytest.raises(ValueError, match="at t=1e-300 .* not a positive, finite, normal double"):
+            verify_lower_tail(tiny, 1e10, default_lower_t_grid(1e10, 25))
+        wide = OrderStatModel(components=(Uniform01(scale=10.0),) * 3, k=2)
+        with pytest.raises(ValueError, match="threshold t\\*q = inf at t="):
+            verify_upper_tail(wide, 3.0, default_upper_t_grid(3.0, 641))
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one(self, count):
         for grid in (default_lower_t_grid, default_upper_t_grid):

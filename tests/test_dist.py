@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import sequential_engine
-from conftest import sweep_laws, sweep_points
+from conftest import ragged_laws, sweep_laws, sweep_points
 from inidstat.dist import (
     Atomic,
     Exponential,
@@ -307,10 +307,15 @@ class TestBatchedSearch:
         assert left_quantile_bisect(_step_at(5e-324), 0.5) == 5e-324
 
     def test_answers_near_the_doubling_limit(self):
-        # 2**199 < 1e60 <= 2**200: reached at the last point of the bracket.
+        # 2**1023 < 1e308 <= the largest finite double: reached at the last
+        # point of the bracket.
         assert self.agrees(_step_at(1e60), 0.5, (1e60,)) == 1e60
+        assert self.agrees(_step_at(1e300), 0.5, (1e300,)) == 1e300
+        assert self.agrees(_step_at(1e308), 0.5, (1e308,)) == 1e308
+        self.agrees(_step_at(1e308), 0.5)
         self.agrees(Exponential(rate=1.0, scale=1e50).cdf, 0.5)
-        for cdf in (_step_at(1e300), lambda t: 0.0, lambda t: 0.4):
+        self.agrees(Uniform01(scale=1e300).cdf, 0.5)
+        for cdf in (lambda t: 0.0, lambda t: 0.4):
             for guess in (None, 1.0, 1e100):
                 with pytest.raises(ValueError, match="not reached") as batched:
                     left_quantile_bisect(cdf, 0.5, guess=guess)
@@ -454,6 +459,116 @@ class TestMixture:
     def test_needs_components(self):
         with pytest.raises(ValueError):
             MixtureCdf(())
+
+
+def per_law_cdf(d, t, left=False):
+    """A table law's cdf by one ``searchsorted`` or ``interp`` call on its own atoms or knots."""
+    x = np.asarray(t, dtype=float) / d.scale
+    if isinstance(d, Atomic):
+        values, cum = np.array([v for v, _ in d.atoms]), np.cumsum([w for _, w in d.atoms])
+        cum[-1] = 1.0
+        idx = np.searchsorted(values, x, side="left" if left else "right")
+        return np.where(idx > 0, cum[np.maximum(idx, 1) - 1], 0.0)
+    return np.interp(x, [t for t, _ in d.knots], [f for _, f in d.knots], left=0.0, right=1.0)
+
+
+def per_law_quantile(d, r):
+    """A table law's left quantile by one ``searchsorted`` call on its own cumulative weights or knots."""
+    r = np.asarray(r, dtype=float)
+    if isinstance(d, Atomic):
+        values, cum = np.array([v for v, _ in d.atoms]), np.cumsum([w for _, w in d.atoms])
+        cum[-1] = 1.0
+        out = values[np.minimum(np.searchsorted(cum, r, side="left"), values.size - 1)]
+    else:
+        kt, kf = np.array([t for t, _ in d.knots]), np.array([f for _, f in d.knots])
+        idx = np.clip(np.searchsorted(kf, r, side="left"), 1, kf.size - 1)
+        lo_t, hi_t, lo_f, hi_f = kt[idx - 1], kt[idx], kf[idx - 1], kf[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = (r - lo_f) / (hi_f - lo_f)
+        out = np.where(r <= kf[0], kt[0], lo_t + np.where(hi_f > lo_f, frac, 1.0) * (hi_t - lo_t))
+    return np.where(r == 0.0, 0.0, d.scale * out)
+
+
+def bits(x) -> list:
+    # The 64-bit patterns of float values: equal bits, -0.0 apart from 0.0.
+    return np.asarray(x, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+def table_probes(laws) -> np.ndarray:
+    """Every atom and knot of the laws, their neighbours 1 ulp away, 0 and inf."""
+    special = np.array(sorted({s for d in laws for s in d.special_points()}))
+    return np.concatenate([special, np.nextafter(special, -np.inf), np.nextafter(special, np.inf), [0.0, math.inf]])
+
+
+def table_orders(laws) -> np.ndarray:
+    """Orders inside (0, 1) at every cumulative weight and knot value of the laws and 1 ulp from them."""
+    levels = {1.0}
+    for d in laws:
+        if isinstance(d, Atomic):
+            levels.update(np.cumsum([w for _, w in d.atoms])[:-1].tolist())
+        else:
+            levels.update(f for _, f in d.knots if f > 0.0)
+    levels = np.array(sorted(levels))
+    inner = np.concatenate([levels, np.nextafter(levels, 0.0), np.nextafter(levels, 2.0)])
+    return inner[(inner > 0.0) & (inner < 1.0)]
+
+
+def check_table_laws(laws, ts, u):
+    """Every path of the table laws equals their per-law formulas bit for bit."""
+    mix = MixtureCdf(tuple(laws))
+    for left in (False, True):
+        want = [per_law_cdf(d, ts, left) for d in laws]
+        batch = mix.component_cdfs(ts, left=left)
+        runs = np.empty_like(batch)
+        for idx, values in mix.family_blocks(ts, left, cells=3 * ts.size):
+            runs[:, idx] = values.T
+        for i, d in enumerate(laws):
+            f = d.cdf_left_limit if left else d.cdf
+            assert bits(batch[:, i]) == bits(runs[:, i]) == bits(f(ts)) == bits(want[i]), (d, left)
+            assert bits([f(float(t)) for t in ts[:40]]) == bits(want[i][:40]), (d, left)
+    x = mix.family_quantiles(np.tile(u, (mix.n, 1)))
+    for i, row in zip(mix._family_order.tolist(), x):
+        assert bits(row) == bits(per_law_quantile(laws[i], u)), laws[i]
+    edges = np.concatenate([[0.0], u, [1.0]])
+    for d in laws:
+        assert bits(d.quantile(edges)) == bits(per_law_quantile(d, edges)), d
+        assert bits([d.quantile(0.0), d.quantile(1.0)]) == bits(per_law_quantile(d, [0.0, 1.0])), d
+    return mix
+
+
+class TestTableLaws:
+    """Atomic and PiecewiseLinearCdf laws of ragged widths in the family blocks."""
+
+    def test_ragged_laws_match_per_law_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        laws = ragged_laws(rng, 80)
+        widths = [len(d.atoms) for d in laws if isinstance(d, Atomic)]
+        assert set(widths) == set(range(1, 9))
+        assert {len(d.knots) for d in laws if isinstance(d, PiecewiseLinearCdf)} == set(range(2, 9))
+        assert any(d.atoms[0][0] == 0.0 for d in laws if isinstance(d, Atomic))
+        assert any(f0 == f1 for d in laws if isinstance(d, PiecewiseLinearCdf) for (_, f0), (_, f1) in zip(d.knots[1:], d.knots[2:-1]))
+        ts = np.concatenate([table_probes(laws), 10.0 ** rng.uniform(-5.0, 5.0, 200)])
+        inner = table_orders(laws)
+        mix = check_table_laws(laws, ts, np.concatenate([inner, rng.random(200)]))
+        # One block per family and table width: 2, 4, 8 or 16 entries.
+        assert mix.quantile_calls == len({(type(d), d._args[0].size) for d in laws}) == 7
+
+    def test_mixed_with_the_parametric_families(self):
+        rng = np.random.default_rng(32)
+        laws = ragged_laws(rng, 30) + sweep_laws(rng, 30)
+        mix = MixtureCdf(laws)
+        ts = sweep_points(rng, laws, 200)
+        batch = mix.component_cdfs(ts)
+        for i, d in enumerate(laws):
+            assert bits(batch[:, i]) == bits(d.cdf(ts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(1, 12))
+    def test_random_ragged_laws(self, seed, n):
+        rng = np.random.default_rng(seed)
+        laws = ragged_laws(rng, n)
+        inner = table_orders(laws)
+        check_table_laws(laws, table_probes(laws), np.concatenate([inner, rng.random(8)]))
 
 
 class TestValidation:

@@ -11,11 +11,12 @@ from inidstat.dist import (
     Atomic,
     Exponential,
     HalfGaussian,
+    MixtureCdf,
     ParetoPower,
     PiecewiseLinearCdf,
     Uniform01,
 )
-from inidstat.mc import SimResult, median_ci_ranks, sample, simulate_median
+from inidstat.mc import SimResult, median_ci_ranks, simulate_median
 from inidstat.ostat import OrderStatModel, kmin_median
 
 from conftest import sweep_laws
@@ -52,28 +53,41 @@ def values(res):
 
 
 class TestSample:
+    # The sampler's inverse transform: each law's quantile, and a mixture's
+    # family_quantiles, which takes orders strictly inside (0, 1) only.
+    ATOMS = Atomic(atoms=((1.0, 0.5), (2.0, 0.5)))
+
     def test_examples(self):
-        assert sample(Uniform01(), 0.42) == pytest.approx(0.42, rel=1e-15)
-        assert sample(Exponential(rate=1.0), 0.5) == pytest.approx(math.log(2.0), rel=1e-12)
-        assert sample(Atomic(atoms=((1.0, 0.5), (2.0, 0.5))), 0.7) == 2.0
+        assert Uniform01().quantile(0.42) == pytest.approx(0.42, rel=1e-15)
+        assert Exponential(rate=1.0).quantile(0.5) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert self.ATOMS.quantile(0.7) == 2.0
+        mix = MixtureCdf((Uniform01(), Exponential(rate=1.0), self.ATOMS))
+        x = mix.family_quantiles(np.array([[0.42], [0.5], [0.7]]))
+        assert sorted(x[:, 0].tolist()) == [0.42, math.log(2.0), 2.0]
 
     def test_vectorized(self):
         u = np.array([0.1, 0.5, 0.9])
-        out = sample(Uniform01(), u)
-        np.testing.assert_allclose(out, u, rtol=1e-15)
+        np.testing.assert_allclose(Uniform01().quantile(u), u, rtol=1e-15)
+        np.testing.assert_allclose(MixtureCdf((Uniform01(),)).family_quantiles(u[None])[0], u, rtol=1e-15)
 
     def test_domain(self):
+        for bad in (-0.2, 1.7, math.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                Uniform01().quantile(bad)
+        mix = MixtureCdf((Uniform01(), self.ATOMS))
         for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
-            with pytest.raises(ValueError):
-                sample(Uniform01(), bad)
-        with pytest.raises(ValueError):
-            sample(Uniform01(), np.array([0.5, 1.0]))
+            with pytest.raises(ValueError, match="strictly inside"):
+                mix.family_quantiles(np.array([[0.5], [bad]]))
+        with pytest.raises(ValueError, match="strictly inside"):
+            mix.family_quantiles(np.array([[0.5, 0.5], [0.5, 1.0]]))
 
     def test_matches_inverse_transform_distribution(self):
         # Empirical cdf of inverse-transform draws tracks the law itself.
         rng = np.random.default_rng(7)
         d = Exponential(rate=2.0)
-        xs = sample(d, rng.random(20000))
+        u = rng.random(20000)
+        xs = d.quantile(u)
+        assert MixtureCdf((d,)).family_quantiles(u[None])[0].tolist() == xs.tolist()
         for t in (0.1, 0.35, 1.0):
             emp = float(np.mean(xs <= t))
             assert emp == pytest.approx(d.cdf(t), abs=0.02)
@@ -241,10 +255,11 @@ class TestStream:
         assert peak < 3 * 8 * (chunk + R)
 
     def test_memory_of_one_law_blocks_is_bounded_by_chunk_and_replicates(self):
-        # Every law is a block of its own, so the chunk grows to amortise
-        # the calls but stays within its cap.
-        laws = tuple(Atomic(atoms=((0.5, 0.5), (1.0 + i, 0.5))) for i in range(300))
+        # Pareto laws with distinct p are blocks of one law each, so the
+        # chunk grows to amortise the calls but stays within its cap.
+        laws = tuple(ParetoPower(p=1.0 + i / 64) for i in range(300))
         m = OrderStatModel(components=laws, k=150)
+        assert m.mixture.quantile_calls == m.n
         rows = mc._chunk_rows(m)
         chunk = rows * m.n
         assert mc._CHUNK_VARIATES < chunk <= mc._MAX_CHUNK_VARIATES + m.n
@@ -256,3 +271,23 @@ class TestStream:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * (chunk + R)
+
+    def test_memory_of_a_wide_atomic_law_is_bounded_by_chunk_and_replicates(self):
+        # One law of 10**4 atoms: a temporary of the chunk's draws against
+        # the atoms, even of bytes, would break the bound 50 times over.
+        rng = np.random.default_rng(5)
+        weights = rng.random(10**4) + 0.5
+        wide = Atomic(atoms=tuple(zip(np.arange(1.0, 1.0 + 10**4).tolist(), (weights / weights.sum()).tolist())))
+        m = OrderStatModel(components=(wide, Exponential(rate=1.0), Uniform01(scale=10.0)), k=2)
+        rows = mc._chunk_rows(m)
+        R = 2 * rows
+        tables = 2 * 8 * (1 << 14)
+        tracemalloc.start()
+        try:
+            res = simulate_median(m, replicates=R, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * (rows * m.n + R) + 2 * tables
+        assert rows * 10**4 > 50 * (3 * 8 * (rows * m.n + R) + 2 * tables)
+        assert values(res) == whole_array_oracle(m, R, 3, 0.99)

@@ -174,6 +174,12 @@ class TestMedianAndQuantiles:
         m = OrderStatModel(components=(Uniform01(),) * 3, k=2)
         assert kmin_median(m) == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e61, 1e300])
+    def test_closed_form_median_three_uniforms_over_the_double_range(self, scale):
+        m = OrderStatModel(components=(Uniform01(scale=scale),) * 3, k=2)
+        assert averaged_quantile(m) == pytest.approx(0.5 * scale, rel=1e-10)
+        assert kmin_median(m) == pytest.approx(0.5 * scale, rel=1e-9)
+
     def test_closed_form_median_two_exponentials(self):
         m = OrderStatModel(components=(Exponential(rate=1.0),) * 2, k=1)
         assert kmin_median(m) == pytest.approx(math.log(2.0) / 2.0, rel=1e-9)
