@@ -3,7 +3,7 @@ Monte Carlo cross-check of the exact engine
 ===========================================
 
 The exact median of the k-th smallest comes from a counting identity and
-deterministic bisection.  As an independent route, simulate the model by
+a deterministic bracketed search.  As an independent route, simulate the model by
 inverse-transform sampling and wrap the sample median in a distribution-
 free order-statistic confidence interval.  The exact value should land
 inside the interval at the stated level -- and every run is reproducible
@@ -44,8 +44,8 @@ print(f"99% CI: [{res.ci_low:.8f}, {res.ci_high:.8f}]   ({res.elapsed:.2f}s)")
 print(f"CI covers exact: {res.ci_low <= exact <= res.ci_high}")
 
 # ---------------------------------------------------------------------------
-# Reproducibility: the stream for replicate j is keyed by (seed, j) in a
-# counter-based generator, so reruns agree exactly, independent of order.
+# Reproducibility: one counter-based Philox stream is keyed by the seed, and
+# replicate j reads its draws [j*n, (j+1)*n), so reruns agree exactly.
 again = simulate_median(model, replicates=100_000, seed=20260813, ci_level=0.99)
 print(f"\nrerun estimate identical: {again.estimate == res.estimate}")
 print(f"generator: {res.generator}")

@@ -169,16 +169,6 @@ def _sandwich_verdict(
     return ("pass" if holds else "fail"), holds
 
 
-def _component_certificates(
-    model: OrderStatModel, K: float, grid_spec: GridSpec
-) -> tuple[RegularityCertificate, ...]:
-    # Repeated components are common (homogeneous blocks); certify each
-    # distinct law once and share the certificate object.
-    distinct = list(dict.fromkeys(model.components))
-    cache = dict(zip(distinct, check_condition_batch(distinct, K, grid_spec)))
-    return tuple(cache[c] for c in model.components)
-
-
 def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID) -> TheoremReport:
     """Certify the K^-10 / K^13 median sandwich for one model.
 
@@ -188,7 +178,7 @@ def verify_theorem(model: OrderStatModel, K, grid_spec: GridSpec = DEFAULT_GRID)
     K = _check_K(K)
     upper = _K_power(K, SANDWICH_UPPER_EXP)
     lower = _K_power(K, SANDWICH_LOWER_EXP)
-    certs = _component_certificates(model, K, grid_spec)
+    certs = check_condition_batch(model.components, K, grid_spec)
 
     q = averaged_quantile(model)
     med = kmin_median(model)

@@ -74,6 +74,9 @@ def parse_model_spec(obj) -> OrderStatModel:
         raise ValueError(f"unknown model-spec keys: {sorted(extra)}")
     if "k" not in obj or "components" not in obj:
         raise ValueError('model spec needs "k" and "components"')
+    k = obj["k"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f'"k" must be an integer, got {k!r}')
     comps_in = obj["components"]
     if not isinstance(comps_in, list) or not comps_in:
         raise ValueError('"components" must be a non-empty list')
@@ -87,11 +90,11 @@ def parse_model_spec(obj) -> OrderStatModel:
         if "family" not in entry:
             raise ValueError(f'component #{i}: missing "family"')
         repeat = entry.get("repeat", 1)
-        if not isinstance(repeat, int) or repeat < 1:
+        if not isinstance(repeat, int) or isinstance(repeat, bool) or repeat < 1:
             raise ValueError(f"component #{i}: repeat must be an integer >= 1, got {repeat!r}")
         d = build_distribution(entry["family"], entry.get("params"), entry.get("scale", 1.0))
         components.extend([d] * repeat)
-    return OrderStatModel(components=tuple(components), k=obj["k"])
+    return OrderStatModel(components=tuple(components), k=k)
 
 
 def load_model(path: str) -> OrderStatModel:
@@ -446,7 +449,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -49,6 +49,10 @@ _LADDER = (0.0, 1.0, *(2.0**e for m in range(2, 11) for e in (-(2**m), min(2**m,
 # Relative distances from a guess to the inner and outer points of the first call.
 _GUESS_NEAR, _GUESS_FAR = 2e-3, 2e-2
 
+# Cells (laws times points) per cdf formula call in MixtureCdf.family_blocks,
+# which bounds the working memory of a call whatever the number of laws.
+_RUN_CELLS = 1 << 15
+
 
 def _split(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
@@ -116,7 +120,7 @@ class Distribution:
     def __post_init__(self) -> None:
         for name in ("scale", *self._params):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive real, got {v!r}")
             object.__setattr__(self, name, float(v))
 
@@ -372,7 +376,8 @@ def left_quantile_bisect(
     ``guess`` makes the first call probe guess * (1 -+ 2e-3) and guess * (1
     -+ 2e-2), or the guess and the float below it if it is a candidate.
     Without one, or when it misses, the bracket grows through 0, 1, 2**-4,
-    2**4, 2**-8, ... up to 2**200, as cold, so a bad guess costs one call.
+    2**4, 2**-8, 2**8, ..., 2**-1024, 2**1023, the largest finite double and
+    5e-324, as cold, so a bad guess costs one call.
     Then each call probes x and x -+ err (and the middle of a rest over half
     the bracket), on log t while hi > 2 * lo: x interpolates the inverse
     cdf through lo, hi and the nearest known points outside (regula falsi,
@@ -535,25 +540,24 @@ class MixtureCdf:
         """Formula calls that one ``family_quantiles`` call makes: one per block."""
         return len(self._batch)
 
-    def family_blocks(
-        self, t, left: bool = False, cells: Optional[int] = None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def family_blocks(self, t, left: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (indices, values): ``values[j]`` is F_i(t), or F_i(t-) if ``left``, for i = indices[j].
 
         ``values`` has shape ``(len(indices),) + shape(t)``, one law per row.
-        Each block of laws is evaluated in one call of its ``_cdf_formula``
+        Each block of laws is evaluated by its ``_cdf_formula``
         (``_cdf_left_formula`` if ``left``) on stacked args, the code
-        ``d.cdf`` runs, or, if ``cells`` is given, in one call per run of at
-        most ``cells // t.size`` members.  The values equal ``d.cdf(t)`` bit
-        for bit as long as numpy's elementwise functions do not depend on the
-        array's shape; the test suite checks that over every family.
+        ``d.cdf`` runs, in one call per run of at most ``_RUN_CELLS // t.size``
+        members (at least one), so that a call's temporaries stay small.  The
+        values equal ``d.cdf(t)`` bit for bit as long as numpy's elementwise
+        functions do not depend on the array's shape; the test suite checks
+        that over every family.
         """
         t = np.asarray(t, dtype=float)
         # A float divides faster than a 0-d array, and changes no bit.
         x = t if t.ndim else float(t)
+        step = max(1, _RUN_CELLS // max(1, t.size))
         for idx, cls, scales, args in self._batch:
             formula = cls._cdf_left_formula if left else cls._cdf_formula
-            step = idx.size if cells is None else max(1, cells // max(1, t.size))
             for s in range(0, idx.size, step):
                 # The members' args as a column against the points.
                 run = (slice(s, s + step),) + (None,) * t.ndim

@@ -67,12 +67,18 @@ def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:
     """1-based order-statistic ranks (a, b) with P{X_(a) <= med <= X_(b)} >= ci_level.
 
     a is the largest rank whose binomial(R, 1/2) cdf at a-1 stays within
-    (1 - ci_level)/2, and b = R - a + 1 by symmetry.
+    (1 - ci_level)/2, and b = R - a + 1 by symmetry.  When even (1, R)
+    covers less than ci_level, as for a few replicates, the result is (1, R).
     """
     from scipy.special import bdtr
 
     R = operator.index(replicates)
-    half_alpha = (1.0 - float(ci_level)) / 2.0
+    if R < 1:
+        raise ValueError(f"need at least one replicate, got {R}")
+    ci_level = float(ci_level)
+    if not 0.0 < ci_level < 1.0:
+        raise ValueError(f"ci_level must lie in (0, 1), got {ci_level!r}")
+    half_alpha = (1.0 - ci_level) / 2.0
     # Bisect for the largest c with cdf(c) <= alpha/2, keeping
     # cdf(lo) <= alpha/2 < cdf(hi); cdf(-1) = 0 and cdf(R) = 1.
     lo, hi = -1, R

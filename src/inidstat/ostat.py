@@ -18,8 +18,6 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .dist import Distribution, MixtureCdf, left_quantile_bisect
 from .pbin import tail_at_least
 
@@ -73,12 +71,8 @@ class OrderStatModel:
 
 def _count_tail(mixture: MixtureCdf, k: int, t, left: bool = False):
     # P{#{i : X_i <= t} >= k}, or with X_i < t if ``left``, for a scalar or
-    # an array t; every element of t is one row of a single batched tail.
-    t = np.asarray(t, dtype=float)
-    probs = mixture.component_cdfs(t, left=left)
-    if t.ndim == 0:
-        return tail_at_least(probs, k)
-    return tail_at_least(probs.reshape(-1, mixture.n), k).reshape(t.shape)
+    # an array t; every element of t is one vector of a single batched tail.
+    return tail_at_least(mixture.component_cdfs(t, left=left), k)
 
 
 def kmin_cdf(model: OrderStatModel, t):

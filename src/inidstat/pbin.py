@@ -3,18 +3,21 @@
 Given success probabilities p_1, ..., p_n (not necessarily equal), the count
 S = sum_i 1{trial i succeeds} has the Poisson binomial law.  ``pmf`` builds the
 full law by the O(n^2) convolution recurrence; ``tail_at_least`` computes the
-tail P{S >= k} in O(n * min(k, n - k + 1)) by truncating the recurrence:
-states at or past k are absorbed (when k is small) or states past n - k
-failures are dropped and the survivors summed (when k is close to n).
+tail P{S >= k} in O(n * min(k, n - k + 1)) by truncating the recurrence to
+the counts of one kind of event, with a last row that absorbs the mass past
+them: successes below k, whose absorbed mass is the tail (when k is small),
+or failures up to n - k, whose survivors are summed (when k is close to n).
 
-``tail_at_least`` also takes a (T, n) matrix, one row of probabilities per
-threshold, and returns the T tails from one pass over the n trials: the
-recurrence state holds one column per row, so the Python loop runs n times
-whatever T is, and each step does the arithmetic of T steps in three numpy
-calls.  A pass costs about n * (a + b * T * width): the fixed cost a of the
-calls, paid once instead of T times, dominates at small width.  States about
-a hundred times wider than T run one pass per row instead, which is cheaper
-there.  Every row's tail equals the tail of that row alone, bit for bit.
+``tail_at_least`` also takes a stack of vectors, an array of shape (..., n)
+with one vector of probabilities per threshold, and returns their tails
+from one pass over the n trials: the recurrence state holds one column per
+vector, so the Python loop runs n times whatever the number T of vectors
+is, and each step does the arithmetic of T steps in three numpy calls.  A
+pass costs about n * (a + b * T * width): the fixed cost a of the calls,
+paid once instead of T times, dominates at small width.  States about a
+hundred times wider than T run one pass per vector instead, which is
+cheaper there.  Every vector's tail equals the tail of that vector alone,
+bit for bit.
 
 A pass skips the trials that change nothing in its state, so it runs only
 the steps that move mass.  On the absorbing side (small k) a trial that is
@@ -121,26 +124,26 @@ def tail_at_least(sv: SuccessLike, k):
     min(k, n - k + 1) entries, so scanning every k for one fixed vector
     costs O(n^2) overall instead of O(n^2) per tail.
 
-    ``sv`` may also be a (T, n) matrix with one vector of probabilities per
-    row; the result is then the array of the T tails, each equal bit for bit
-    to the tail of its row alone.  The rows share one pass over the n trials
-    on a (min(k, n - k + 1), T) state updated in place: n Python steps of
-    three numpy calls each, for T tails at once, unless the state is so wide
-    that a pass per row is cheaper.  A single vector is the T = 1 case and
-    returns a float.
+    ``sv`` is a ``SuccessVector``, a sequence, or an array of shape (..., n):
+    a stack of vectors of n probabilities each.  The result has shape (...),
+    each tail equal bit for bit to the tail of its vector alone, or is a
+    float for a single vector; a scalar is a one-trial vector.  The vectors
+    share one pass over the n trials on a (min(k, n - k + 1), T) state
+    updated in place, for T vectors: n Python steps of three numpy calls
+    each, for T tails at once, unless the state is so wide that a pass per
+    vector is cheaper.
 
-    Trials that are sure in every row and change nothing in the truncated
+    Trials that are sure in every vector and change nothing in the truncated
     state are skipped (see the module docstring): sure failures on the
     absorbing side and sure successes on the dual side, while dual-side sure
     failures start the state at an offset.  The side is chosen from the
     original (n, k), and every tail is still the one the full recurrence
     gives, bit for bit.
     """
-    if isinstance(sv, SuccessVector) or np.ndim(sv) != 2:
-        probs, single = _coerce(sv).p[None, :], True
-    else:
-        probs, single = _checked(np.asarray(sv, dtype=float)), False
-    rows, n = probs.shape
+    p = sv.p if isinstance(sv, SuccessVector) else _checked(np.atleast_1d(np.asarray(sv, dtype=float)))
+    *stack, n = p.shape
+    probs = p.reshape(-1, n)
+    rows = len(probs)
     k = _check_rank(k, n, allow_past_end=True)
     if k == 0:
         tails = np.ones(rows)
@@ -152,7 +155,7 @@ def tail_at_least(sv: SuccessLike, k):
         # So wide a state that numpy's per-state-row cost of the broadcast
         # update outweighs the per-call cost one pass saves: a pass per row.
         tails = np.array([_truncated_tails(row[None, :], k)[0] for row in probs])
-    return float(tails[0]) if single else tails
+    return tails.reshape(stack) if stack else float(tails[0])
 
 
 def _truncated_tails(probs: np.ndarray, k: int) -> np.ndarray:
@@ -171,10 +174,9 @@ def _truncated_tails(probs: np.ndarray, k: int) -> np.ndarray:
         if succ.shape[0] < k:
             # Fewer than k trials can succeed in any row: no mass reaches k.
             return np.zeros(rows)
-        # Track success counts 0..k-1 in rows 0..k-1; mass reaching k is
-        # absorbed into row k and can never drop back, so that row ends as
+        # Count successes 0..k-1; the absorbed mass, at k or more, ends as
         # exactly P{S >= k}.
-        size, up, stay = k + 1, succ, fail
+        size, up, stay = k, succ, fail
     else:
         # Dual recurrence on failure counts 0..n-k; runs that stay within the
         # allowance end with S >= k, so the surviving mass is the tail.  The
@@ -184,24 +186,24 @@ def _truncated_tails(probs: np.ndarray, k: int) -> np.ndarray:
         if shift >= allowance:
             return np.zeros(rows)
         size, up, stay = allowance - shift, fail, succ
-    state = np.zeros((size, rows))
+    # Rows 0..size-1 count the `up` events; row `size` absorbs the mass that
+    # passes them and never drops back.
+    state = np.zeros((size + 1, rows))
     state[0] = 1.0
-    moved = np.empty((size - 1, rows))
-    below, above = state[: size - 1], state[1:]
-    # The absorbed row keeps its mass; every other row keeps its `stay` share.
-    kept = below if absorbing else state
+    moved = np.empty((size, rows))
+    below, above = state[:size], state[1:]
     for pu, ps in zip(up, stay):
         np.multiply(below, pu, out=moved)
-        np.multiply(kept, ps, out=kept)
+        np.multiply(below, ps, out=below)
         np.add(above, moved, out=above)
     if absorbing:
-        tails = state[k]
+        tails = state[size]
     else:
         # Sum each threshold's survivors along a contiguous row, pairwise,
         # exactly as a one-dimensional sum of that column would; the zeros
         # below the shift keep the pairwise grouping of the whole allowance.
         survivors = np.zeros((rows, allowance))
-        survivors[:, shift:] = state.T
+        survivors[:, shift:] = state[:size].T
         tails = survivors.sum(axis=1)
     return np.minimum(tails, 1.0)
 

@@ -19,7 +19,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -45,10 +45,6 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-12
-
-# Grid cells (laws times points) per cdf block in check_condition_batch,
-# which bounds its working memory whatever the number of laws.
-_BATCH_CELLS = 1 << 15
 
 GRID_NOTE = "grid certificate: necessary evidence at finitely many t, not a proof for all t > 0"
 
@@ -210,34 +206,36 @@ def check_condition(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -> R
 
 
 def check_condition_batch(
-    laws: Sequence[Distribution], K, grid_spec: GridSpec = DEFAULT_GRID
+    laws: Iterable[Distribution], K, grid_spec: GridSpec = DEFAULT_GRID
 ) -> tuple[RegularityCertificate, ...]:
-    """``check_condition`` for each law, in order.
+    """``check_condition`` for each law, in order; repeats share one certificate object.
 
     Laws without atoms or knots share the plain grid and are evaluated in
-    the family blocks of ``MixtureCdf.family_blocks``, in runs of about
-    _BATCH_CELLS grid cells: one call of the block's cdf formula, the code
-    ``d.cdf`` runs, on its stacked args at t and one at K*t, and one
-    subtraction and one argmin over its rows for the margins, worst points
-    and certificates.  A law with atoms or knots is checked on its own grid,
-    as a block of one.  Each certificate is the one its law gets alone, and
-    the working memory stays near a few blocks whatever the number of laws.
+    the runs of ``MixtureCdf.family_blocks``: one call of the block's cdf
+    formula, the code ``d.cdf`` runs, on a run of its stacked args at t and
+    one at K*t, and one subtraction and one argmin over the run's rows for
+    the margins, worst points and certificates.  A law with atoms or knots
+    is checked on its own grid, as a block of one.  Each distinct law is
+    certified once, with the certificate it gets alone, and the working
+    memory stays near a few runs whatever the number of laws.
     """
     K = _check_K(K)
-    jobs = [[i] for i, d in enumerate(laws) if d.special_points()]
-    if plain := [i for i, d in enumerate(laws) if not d.special_points()]:
+    laws = tuple(laws)
+    distinct = tuple(dict.fromkeys(laws))
+    jobs = [[i] for i, d in enumerate(distinct) if d.special_points()]
+    if plain := [i for i, d in enumerate(distinct) if not d.special_points()]:
         jobs.append(plain)
-    certs: list = [None] * len(laws)
+    certs: list = [None] * len(distinct)
     for idx in jobs:
         # The grid is built when its job runs, so only one is held at a time.
-        t = grid_spec.points_for(laws[idx[0]])
-        mixture = MixtureCdf(tuple(laws[i] for i in idx))
-        blocks = zip(mixture.family_blocks(t, cells=_BATCH_CELLS), mixture.family_blocks(K * t, cells=_BATCH_CELLS))
-        for (rows, ft), (_, fkt) in blocks:
+        t = grid_spec.points_for(distinct[idx[0]])
+        mixture = MixtureCdf(tuple(distinct[i] for i in idx))
+        for (rows, ft), (_, fkt) in zip(mixture.family_blocks(t), mixture.family_blocks(K * t)):
             lhs, rhs = _condition_sides(ft, fkt)
             for j, cert in zip(rows.tolist(), _assemble("condition", K, grid_spec, t, lhs, rhs, t.size)):
                 certs[idx[j]] = cert
-    return tuple(certs)
+    shared = dict(zip(distinct, certs))
+    return tuple(shared[d] for d in laws)
 
 
 def check_measure_form(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -> RegularityCertificate:

@@ -7,7 +7,7 @@ import pytest
 
 import sequential_engine
 from conftest import sweep_laws
-from inidstat import bounds, regularity
+from inidstat import bounds, dist, regularity
 from inidstat.bounds import (
     SANDWICH_LOWER_EXP,
     SANDWICH_UPPER_EXP,
@@ -114,6 +114,14 @@ class TestTheorem:
         rep = verify_theorem(m, 2.0)
         assert len(rep.certificates) == 5
         assert len({id(c) for c in rep.certificates}) == 1
+        # check_condition_batch certifies each distinct law once, from any
+        # iterable, and gives the repeats that one certificate object.
+        laws = [Uniform01(), Exponential(rate=2.0), Atomic(atoms=((1.0, 0.5), (2.0, 0.5)))] * 3
+        for given in (laws, iter(laws)):
+            certs = check_condition_batch(given, 2.0)
+            assert certs == tuple(check_condition(d, 2.0) for d in laws)
+            assert [id(c) for c in certs[3:]] == [id(c) for c in certs[:3]] * 2
+            assert len({id(c) for c in certs}) == 3
 
 
 class TestVerdictRules:
@@ -221,7 +229,7 @@ class TestBatchedCertificates:
         plain = {d for d in laws if not d.special_points()}
         assert any(isinstance(d, Atomic) for d in laws)
         assert any(d.special_points() and not isinstance(d, Atomic) for d in laws)
-        assert len(plain) > 2 * (regularity._BATCH_CELLS // DEFAULT_GRID.points().size)
+        assert len(plain) > 2 * (dist._RUN_CELLS // DEFAULT_GRID.points().size)
         verdicts = set()
         for K, grid in ((1.5, DEFAULT_GRID), (3.0, DEFAULT_GRID), (2.0, GridSpec(1e-3, 1e3, 5))):
             want = [sequential_engine.condition_certificate(d, K, grid).to_dict() for d in laws]
@@ -230,14 +238,15 @@ class TestBatchedCertificates:
             verdicts.update(w["verdict"] for w in want)
         assert verdicts == {"pass", "fail"}
 
-    def test_family_longer_than_a_block(self):
-        # 100 exponentials take three blocks of the default grid; the one
-        # half-Gaussian among them is a block of its own.
+    def test_family_longer_than_a_block(self, monkeypatch):
+        # 100 exponentials take fifteen runs of seven laws on the default
+        # grid, the last one short; the one half-Gaussian among them is a
+        # block of its own.
+        monkeypatch.setattr(dist, "_RUN_CELLS", 7 * DEFAULT_GRID.points().size)
         rng = np.random.default_rng(43)
         laws = [Exponential(rate=float(rng.uniform(0.1, 10.0)), scale=float(10.0 ** rng.uniform(-2.0, 2.0)))
                 for _ in range(100)]
         laws.insert(37, HalfGaussian(sigma=2.0))
-        assert 100 > 2 * (regularity._BATCH_CELLS // DEFAULT_GRID.points().size)
         for K in (1.5, 3.0):
             want = tuple(sequential_engine.condition_certificate(d, K, DEFAULT_GRID) for d in laws)
             got = check_condition_batch(laws, K)
@@ -248,8 +257,8 @@ class TestBatchedCertificates:
             assert all(c.witness for c in got if not c.passed)
 
     def test_working_memory_is_a_few_blocks(self):
-        # Peak traced memory less what the certificates keep: a few blocks of
-        # _BATCH_CELLS doubles, not an array over all 5,000 laws (30 MB) nor
+        # Peak traced memory less what the certificates keep: a few runs of
+        # _RUN_CELLS doubles, not an array over all 5,000 laws (30 MB) nor
         # a grid held for each law with atoms or knots (13 MB here).
         rng = np.random.default_rng(44)
         laws = sweep_laws(rng, 5000)
@@ -260,7 +269,7 @@ class TestBatchedCertificates:
         finally:
             tracemalloc.stop()
         assert len(certs) == 5000
-        assert peak - kept < 16 * regularity._BATCH_CELLS * 8
+        assert peak - kept < 16 * dist._RUN_CELLS * 8
 
     def test_theorem_certificates_equal_per_law_checks(self):
         rng = np.random.default_rng(42)

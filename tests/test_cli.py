@@ -341,6 +341,30 @@ class TestExitCodes:
         assert cli.main(["median", "--model", str(path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"k": True, "components": [{"family": "uniform01", "repeat": 3}]}, '"k" must be an integer'),
+        ({"k": 1.5, "components": [{"family": "uniform01", "repeat": 3}]}, '"k" must be an integer'),
+        ({"k": 1, "components": [{"family": "uniform01", "repeat": True}]}, "repeat must be an integer"),
+        ({"k": 1, "components": [{"family": "uniform01", "scale": True}]}, "scale must be a finite positive real"),
+        ({"k": 1, "components": [{"family": "exponential", "params": {"rate": True}}]},
+         "rate must be a finite positive real"),
+    ], ids=["k-bool", "k-float", "repeat-bool", "scale-bool", "param-bool"])
+    def test_non_integer_or_boolean_model_values_are_two(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["median", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+    def test_out_of_memory_is_two(self, capsys, monkeypatch, uniform3_spec):
+        def no_room(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr(cli.mc, "simulate_median", no_room)
+        assert cli.main(["simulate", "--model", uniform3_spec, "--replicates", "100000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 745. GiB for an array with shape (100000000000,)\n"
+
 
 class TestInstalledEntryPoints:
     def test_console_script(self):

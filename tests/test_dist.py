@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 
 import sequential_engine
 from conftest import ragged_laws, sweep_laws, sweep_points
+from inidstat import dist
 from inidstat.dist import (
     Atomic,
     Exponential,
@@ -520,8 +521,12 @@ def check_table_laws(laws, ts, u):
         want = [per_law_cdf(d, ts, left) for d in laws]
         batch = mix.component_cdfs(ts, left=left)
         runs = np.empty_like(batch)
-        for idx, values in mix.family_blocks(ts, left, cells=3 * ts.size):
-            runs[:, idx] = values.T
+        with pytest.MonkeyPatch.context() as mp:
+            # Runs of three laws each.
+            mp.setattr(dist, "_RUN_CELLS", 3 * ts.size)
+            for idx, values in mix.family_blocks(ts, left):
+                assert idx.size <= 3
+                runs[:, idx] = values.T
         for i, d in enumerate(laws):
             f = d.cdf_left_limit if left else d.cdf
             assert bits(batch[:, i]) == bits(runs[:, i]) == bits(f(ts)) == bits(want[i]), (d, left)
@@ -573,7 +578,7 @@ class TestTableLaws:
 
 class TestValidation:
     def test_scale_positive(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        for bad in (0.0, -1.0, math.inf, math.nan, True):
             with pytest.raises(ValueError):
                 Uniform01(scale=bad)
 
@@ -584,6 +589,10 @@ class TestValidation:
             Exponential(rate=-2.0)
         with pytest.raises(ValueError):
             HalfGaussian(sigma=0.0)
+        # A boolean is not a number here, though Python counts it as an int.
+        for law in (ParetoPower, Exponential, HalfGaussian):
+            with pytest.raises(ValueError, match="finite positive real"):
+                law(True)
 
     def test_piecewise_knots(self):
         with pytest.raises(ValueError):

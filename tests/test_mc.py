@@ -124,6 +124,27 @@ class TestMedianCiRanks:
             cover_narrower = st.binom.cdf(b - 2, R, 0.5) - st.binom.cdf(a, R, 0.5)
             assert cover_narrower < 0.95
 
+    @pytest.mark.parametrize("R, level, message", [
+        (100, 1.5, "ci_level"),
+        (100, 1.0, "ci_level"),
+        (100, 0.0, "ci_level"),
+        (100, -0.2, "ci_level"),
+        (100, math.nan, "ci_level"),
+        (0, 0.99, "replicate"),
+        (-3, 0.9, "replicate"),
+    ])
+    def test_inputs_outside_the_domain_raise(self, R, level, message):
+        with pytest.raises(ValueError, match=message):
+            median_ci_ranks(R, level)
+
+    def test_few_replicates(self):
+        # Below the simulation's floor of 100 the ranks still cover, or are
+        # the whole sample when even that falls short of the level.
+        assert median_ci_ranks(10, 0.5) == (4, 7)
+        assert median_ci_ranks(10, 0.99) == (1, 10)
+        assert median_ci_ranks(5, 0.99) == (1, 5)
+        assert median_ci_ranks(1, 0.5) == (1, 1)
+
 
 class TestSimulateMedian:
     def test_same_seed_identical_result(self):

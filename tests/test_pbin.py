@@ -121,6 +121,7 @@ class TestBatchedTail:
     def test_matrix_equals_rows_bit_for_bit(self, n):
         # Every k in 0..n+1 runs the absorbing recurrence for k <= n + 1 - k
         # and the dual one above it.
+        # A (2, 3, n) stack gives a (2, 3) array of the same tails.
         rng = np.random.default_rng(n)
         probs = self.rows(rng, n)
         for k in range(n + 2):
@@ -130,6 +131,9 @@ class TestBatchedTail:
             assert all(type(v) is float for v in alone)
             assert batch.tolist() == alone
             assert alone == [sequential_engine.tail_at_least(row, k) for row in probs]
+            stack = tail_at_least(probs.reshape(2, 3, n), k)
+            assert stack.shape == (2, 3) and stack.ravel().tolist() == alone
+        assert tail_at_least(np.full((2, 3, 4), 0.5), 1).tolist() == [[0.9375] * 3] * 2
 
     def test_wide_state_few_rows(self):
         # States much wider than the number of rows take one pass per row.
@@ -211,6 +215,10 @@ class TestBatchedTail:
         for sv in ([0.2, 0.7], np.array([0.2, 0.7]), SuccessVector([0.2, 0.7])):
             assert type(tail_at_least(sv, 1)) is float
         assert tail_at_least(np.array([[0.2, 0.7]]), 1).tolist() == [tail_at_least([0.2, 0.7], 1)]
+        # A scalar is a one-trial vector.
+        for k, want in ((0, 1.0), (1, 0.3), (2, 0.0)):
+            got = tail_at_least(0.3, k)
+            assert type(got) is float and got == want == tail_at_least([0.3], k)
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
