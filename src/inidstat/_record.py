@@ -1,4 +1,4 @@
-"""Serialization of the report dataclasses, written once for all of them."""
+"""Serialization and the ``passed`` property of the report dataclasses, written once for all of them."""
 
 from __future__ import annotations
 
@@ -20,6 +20,14 @@ class Record:
     def from_dict(cls, obj: dict):
         types = typing.get_type_hints(cls)
         return cls(**{f.name: _typed(types[f.name], obj[f.name]) for f in dataclasses.fields(cls)})
+
+
+class _Verdict:
+    """Mixin for records with a ``verdict`` field: ``passed`` is whether it reads "pass"."""
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
 
 
 def _plain(value):

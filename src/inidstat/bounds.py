@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from ._record import Record
+from ._record import Record, _Verdict
 from .ostat import OrderStatModel, averaged_quantile, kmin_cdf, kmin_median, kmin_strict_cdf
 from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, _LN_RANGE, _check_K, _max_power, check_condition_batch
 
@@ -96,7 +96,7 @@ def default_upper_t_grid(K: float, count: int = 10) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class TailBoundRow(Record):
+class TailBoundRow(Record, _Verdict):
     """One threshold comparison: exact tail probability against its budget."""
 
     t: float
@@ -106,10 +106,6 @@ class TailBoundRow(Record):
     bound: float
     verdict: str
     vacuous: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 def _tail_row(t: float, side: str, threshold: float, exact_prob: float, bound: float) -> TailBoundRow:
@@ -123,7 +119,7 @@ def _tail_row(t: float, side: str, threshold: float, exact_prob: float, bound: f
 
 
 @dataclass(frozen=True)
-class TheoremReport(Record):
+class TheoremReport(Record, _Verdict):
     """Sandwich verdict for one model at one K, with regularity evidence.
 
     ``verdict`` is "pass" when every component certifies and the sandwich
@@ -144,10 +140,6 @@ class TheoremReport(Record):
     sandwich_holds: bool
     certificates: tuple[RegularityCertificate, ...]
     q_convention: str = Q_CONVENTION
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 def _sandwich_verdict(

@@ -74,9 +74,6 @@ def parse_model_spec(obj) -> OrderStatModel:
         raise ValueError(f"unknown model-spec keys: {sorted(extra)}")
     if "k" not in obj or "components" not in obj:
         raise ValueError('model spec needs "k" and "components"')
-    k = obj["k"]
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f'"k" must be an integer, got {k!r}')
     comps_in = obj["components"]
     if not isinstance(comps_in, list) or not comps_in:
         raise ValueError('"components" must be a non-empty list')
@@ -94,7 +91,7 @@ def parse_model_spec(obj) -> OrderStatModel:
             raise ValueError(f"component #{i}: repeat must be an integer >= 1, got {repeat!r}")
         d = build_distribution(entry["family"], entry.get("params"), entry.get("scale", 1.0))
         components.extend([d] * repeat)
-    return OrderStatModel(components=tuple(components), k=k)
+    return OrderStatModel(components=tuple(components), k=obj["k"])
 
 
 def load_model(path: str) -> OrderStatModel:

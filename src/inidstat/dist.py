@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -63,6 +64,18 @@ def _wrap(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
+def _real(v, what: str, positive: bool = False) -> float:
+    """``v`` as a float if it is a finite real (numpy scalars are, bools are not), positive if ``positive``."""
+    try:
+        # A plain float, the common case, skips the type tests.
+        x = v if type(v) is float else float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
+    except OverflowError:
+        x = math.inf
+    if not (math.isfinite(x) and (x > 0.0 or not positive)):
+        raise ValueError(f"{what} must be a finite {'positive ' if positive else ''}real, got {v!r}")
+    return x
+
+
 def _padded(count: int, *rows) -> tuple[np.ndarray, ...]:
     # The tables of a law with ``count`` atoms or knots: each row, then copies
     # of its last entry up to the least power of two above ``count``.
@@ -99,12 +112,15 @@ class Distribution:
     ``_cdf_left_formula``.  A law's ``_args`` are its positive real
     parameters, named in ``_params``, then its ``_tables``, which a law with
     atoms or knots sets on construction: 1-D arrays of a power-of-two width.
+    Each number a law is given (scale, parameter, atom or knot entry, and
+    the factor of ``scaled``) passes one rule, ``_real``: a finite real,
+    numpy scalars included; a bool, string, NaN or infinity is a ValueError.
     The formulas broadcast over args stacked as a column against the points,
     so ``MixtureCdf.family_blocks`` and ``MixtureCdf.family_quantiles``
     evaluate a block of laws in one call to the code a single law runs.  A
-    block's laws share their family and the values named in
-    ``_scalar_params``: parameters, which reach the quantile formula as
-    Python floats, never as arrays, or the ``_table_width``.
+    block's laws share their family, the widths of their tables and the
+    values of the parameters named in ``_scalar_params``, which reach the
+    quantile formula as Python floats, never as arrays.
     """
 
     scale: float = field(default=1.0, kw_only=True)
@@ -114,15 +130,10 @@ class Distribution:
     _tables: ClassVar[tuple[np.ndarray, ...]] = ()
     _cdf_formula: ClassVar[Callable[..., np.ndarray]]
     _quantile_formula: ClassVar[Callable[..., np.ndarray]]
-    # Laws with atoms or knots compute theirs once, as a cached property.
-    _special_points: ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self) -> None:
         for name in ("scale", *self._params):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a finite positive real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _real(getattr(self, name), name, positive=True))
 
     @classmethod
     def _cdf_left_formula(cls, x, *args):
@@ -132,10 +143,6 @@ class Distribution:
     @property
     def _args(self) -> tuple:
         return (*(getattr(self, name) for name in self._params), *self._tables)
-
-    @property
-    def _table_width(self) -> int:
-        return len(self._tables[0])
 
     # Public surface.
 
@@ -171,13 +178,11 @@ class Distribution:
 
     def special_points(self) -> tuple[float, ...]:
         """Atom locations and cdf knots of the scaled law, ascending."""
-        return self._special_points
+        return ()
 
     def scaled(self, c: float) -> "Distribution":
         """The law of ``c * X`` for c > 0."""
-        if not (math.isfinite(c) and c > 0):
-            raise ValueError(f"scale factor must be a finite positive real, got {c!r}")
-        return dataclasses.replace(self, scale=self.scale * float(c))
+        return dataclasses.replace(self, scale=self.scale * _real(c, "scale factor", positive=True))
 
 
 @dataclass(frozen=True)
@@ -257,7 +262,36 @@ class HalfGaussian(Distribution):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearCdf(Distribution):
+class _TableLaw(Distribution):
+    """A law given by (x, y) pairs, its atoms or knots, in the field named ``_pairs``.
+
+    The x must be nonnegative and strictly increasing; the family's
+    ``_y_row`` checks the y and builds their table.  The tables are the x
+    row, then the y row, and the special points are the x row, scaled.
+    """
+
+    _pairs: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        given = getattr(self, self._pairs)
+        try:
+            pairs = tuple((_real(x, "x"), _real(y, "y")) for x, y in given)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{self._pairs} must be (x, y) pairs of finite reals, got {given!r}") from exc
+        xs = [x for x, _ in pairs]
+        y_row = self._y_row([y for _, y in pairs])
+        if xs[0] < 0 or not all(a < b for a, b in zip(xs, xs[1:])):
+            raise ValueError(f"{self._pairs} must have nonnegative, strictly increasing abscissae")
+        object.__setattr__(self, self._pairs, pairs)
+        object.__setattr__(self, "_tables", _padded(len(xs), xs, y_row))
+
+    def special_points(self) -> tuple[float, ...]:
+        return tuple((self.scale * self._tables[0][: len(getattr(self, self._pairs))]).tolist())
+
+
+@dataclass(frozen=True)
+class PiecewiseLinearCdf(_TableLaw):
     """Continuous cdf interpolating (t, F) knots, flat outside the knot range.
 
     Knots must have strictly increasing ``t >= 0`` and nondecreasing ``F``
@@ -266,26 +300,15 @@ class PiecewiseLinearCdf(Distribution):
     """
 
     knots: tuple[tuple[float, float], ...] = ((0.0, 0.0), (1.0, 1.0))
-    _scalar_params = ("_table_width",)
+    _pairs = "knots"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        try:
-            knots = tuple((float(t), float(f)) for t, f in self.knots)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"knots must be (t, F) pairs of reals, got {self.knots!r}") from exc
-        if len(knots) < 2:
-            raise ValueError("need at least two knots")
-        ts = [t for t, _ in knots]
-        fs = [f for _, f in knots]
-        if ts[0] < 0 or not all(a < b for a, b in zip(ts, ts[1:])):
-            raise ValueError("knot abscissae must be nonnegative and strictly increasing")
+    @staticmethod
+    def _y_row(fs):
+        if len(fs) < 2 or fs[0] != 0.0 or fs[-1] != 1.0:
+            raise ValueError("need at least two knots, with cdf values starting at 0 and ending at 1")
         if not all(a <= b for a, b in zip(fs, fs[1:])):
             raise ValueError("knot cdf values must be nondecreasing")
-        if fs[0] != 0.0 or fs[-1] != 1.0:
-            raise ValueError("knot cdf values must start at 0 and end at 1")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "_tables", _padded(len(knots), ts, fs))
+        return fs
 
     @staticmethod
     def _cdf_formula(x, kt, kf):
@@ -306,13 +329,9 @@ class PiecewiseLinearCdf(Distribution):
             frac = (r - f0) / (f1 - f0)
         return t0 + np.where(f1 > f0, frac, 1.0) * (t1 - t0)
 
-    @cached_property
-    def _special_points(self) -> tuple[float, ...]:
-        return tuple(self.scale * t for t, _ in self.knots)
-
 
 @dataclass(frozen=True)
-class Atomic(Distribution):
+class Atomic(_TableLaw):
     """Purely atomic law on finitely many nonnegative points.
 
     ``atoms`` is a sequence of (value, weight) pairs with strictly increasing
@@ -320,29 +339,18 @@ class Atomic(Distribution):
     """
 
     atoms: tuple[tuple[float, float], ...] = ((1.0, 1.0),)
-    _scalar_params = ("_table_width",)
+    _pairs = "atoms"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        try:
-            atoms = tuple((float(v), float(w)) for v, w in self.atoms)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"atoms must be (value, weight) pairs of reals, got {self.atoms!r}") from exc
-        if not atoms:
-            raise ValueError("need at least one atom")
-        vs = [v for v, _ in atoms]
-        ws = [w for _, w in atoms]
-        if vs[0] < 0 or not all(a < b for a, b in zip(vs, vs[1:])):
-            raise ValueError("atom values must be nonnegative and strictly increasing")
-        if not all(w > 0 for w in ws):
-            raise ValueError("atom weights must be positive")
+    @staticmethod
+    def _y_row(ws):
+        if not ws or not all(w > 0 for w in ws):
+            raise ValueError("need at least one atom, and atom weights must be positive")
         if abs(math.fsum(ws) - 1.0) > 1e-9:
             raise ValueError(f"atom weights must sum to 1, got {math.fsum(ws)!r}")
-        object.__setattr__(self, "atoms", atoms)
-        # The values, and 0 then the cumulative weights, the last exactly 1.
+        # 0 then the cumulative weights, the last exactly 1.
         cum = np.cumsum(ws)
         cum[-1] = 1.0
-        object.__setattr__(self, "_tables", _padded(len(vs), vs, [0.0, *cum]))
+        return [0.0, *cum]
 
     @staticmethod
     def _cdf_formula(x, values, cum):
@@ -356,10 +364,6 @@ class Atomic(Distribution):
     def _quantile_formula(r, values, cum):
         # The first atom whose cumulative weight reaches r > 0.
         return np.take(values, _rank(cum, r, strict=True))
-
-    @cached_property
-    def _special_points(self) -> tuple[float, ...]:
-        return tuple(self.scale * v for v, _ in self.atoms)
 
 
 def left_quantile_bisect(
@@ -514,11 +518,12 @@ class MixtureCdf:
 
     @cached_property
     def _batch(self) -> list:
-        # One (indices, family, scales, stacked args) block per family and
-        # value of its scalar parameters.
+        # One (indices, family, scales, stacked args) block per family,
+        # values of its scalar parameters and widths of its tables.
         members: dict[tuple, list[int]] = {}
         for i, d in enumerate(self.components):
-            members.setdefault((type(d), *(getattr(d, name) for name in d._scalar_params)), []).append(i)
+            key = (type(d), *(getattr(d, name) for name in d._scalar_params), *map(len, d._tables))
+            members.setdefault(key, []).append(i)
         return [
             (
                 np.array(idx, dtype=np.intp),

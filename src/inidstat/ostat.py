@@ -14,7 +14,7 @@ theorem puts close to the median; each model computes q once.
 from __future__ import annotations
 
 import dataclasses
-import operator
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+class _NotAnInteger(ValueError, TypeError):
+    """A rank k that is not an integer (a bool is not one): bad input of the wrong type."""
+
+
 @dataclass(frozen=True)
 class OrderStatModel:
     """n independent component laws together with a rank k, 1 <= k <= n.
@@ -46,7 +50,9 @@ class OrderStatModel:
 
     def __post_init__(self) -> None:
         mixture = MixtureCdf(self.components)
-        k = operator.index(self.k)
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise _NotAnInteger(f'rank "k" must be an integer, got {self.k!r}')
+        k = int(self.k)
         if not 1 <= k <= mixture.n:
             raise ValueError(f"rank k must lie in [1, {mixture.n}], got {k}")
         object.__setattr__(self, "components", mixture.components)

@@ -96,11 +96,10 @@ def _coerce(sv: SuccessLike) -> SuccessVector:
     return sv if isinstance(sv, SuccessVector) else SuccessVector(np.asarray(sv, dtype=float))
 
 
-def _check_rank(k, n: int, *, allow_past_end: bool) -> int:
+def _check_rank(k, n: int) -> int:
     k = operator.index(k)
-    hi = n + 1 if allow_past_end else n
-    if not 0 <= k <= hi:
-        raise ValueError(f"k must be an integer in [0, {hi}], got {k}")
+    if not 0 <= k <= n + 1:
+        raise ValueError(f"k must be an integer in [0, {n + 1}], got {k}")
     return k
 
 
@@ -144,7 +143,7 @@ def tail_at_least(sv: SuccessLike, k):
     *stack, n = p.shape
     probs = p.reshape(-1, n)
     rows = len(probs)
-    k = _check_rank(k, n, allow_past_end=True)
+    k = _check_rank(k, n)
     if k == 0:
         tails = np.ones(rows)
     elif k == n + 1:
@@ -214,7 +213,7 @@ def brute_force_tail(sv: SuccessLike, k) -> float:
     n = sv.n
     if n > _BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute-force enumeration is limited to n <= {_BRUTE_FORCE_MAX_N}, got n = {n}")
-    k = _check_rank(k, n, allow_past_end=True)
+    k = _check_rank(k, n)
     probs = np.ones(1)
     counts = np.zeros(1, dtype=np.int64)
     for pi in sv.p:

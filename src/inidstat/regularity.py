@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, _Verdict
 from .dist import Distribution, MixtureCdf
 
 __all__ = [
@@ -94,7 +94,7 @@ DEFAULT_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
-class RegularityCertificate(Record):
+class RegularityCertificate(Record, _Verdict):
     """Outcome of one grid check: worst margin, verdict, and fail witness."""
 
     check: str
@@ -105,10 +105,6 @@ class RegularityCertificate(Record):
     verdict: str
     witness: Optional[tuple[float, float, float]]
     note: str = GRID_NOTE
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 class RegularityPreconditionError(ValueError):
@@ -259,7 +255,7 @@ def _pointwise_certificate(d: Distribution, K, grid_spec: GridSpec, form: str):
 
 
 @dataclass(frozen=True)
-class GrowthLemmaReport(Record):
+class GrowthLemmaReport(Record, _Verdict):
     """Joint certificate for the two iterated-growth inequalities.
 
     For ell >= 1 and gamma in (0, 1):
@@ -279,10 +275,6 @@ class GrowthLemmaReport(Record):
     verdict: str
     witnesses: tuple[tuple[str, float, float, float], ...]
     note: str = GRID_NOTE
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 def check_lemma_growth(

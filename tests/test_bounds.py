@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -103,6 +104,17 @@ class TestTheorem:
         assert rep.sandwich_holds
         assert rep.ratio == pytest.approx(1.0, rel=1e-9)
 
+    def test_ratio_when_q_is_zero(self):
+        # Atoms at 0 put the mixture quantile at 0: the ratio is 1 when the
+        # median is 0 too, and infinite when it is not.
+        zero, half = Atomic(atoms=((0.0, 1.0),)), Atomic(atoms=((0.0, 0.25), (1.0, 0.75)))
+        rep = verify_theorem(OrderStatModel((zero,) * 3, 2), 3.0)
+        assert (rep.q, rep.med, rep.ratio) == (0.0, 0.0, 1.0)
+        # (1 + 1/4 + 1/4) / 3 reaches the order 1/2, but the second smallest
+        # is 0 only with probability 1 - (3/4)**2 < 1/2.
+        rep = verify_theorem(OrderStatModel((zero, half, half), 2), 3.0)
+        assert (rep.q, rep.med, rep.ratio) == (0.0, 1.0, math.inf)
+
     def test_K_domain(self):
         m = OrderStatModel(components=(Uniform01(),), k=1)
         for bad in (1.0, 0.2, math.inf, math.nan):
@@ -152,6 +164,12 @@ class TestVerdictRules:
         assert bounds._tail_row(0.1, "lower", 0.2, 0.3, 0.3 - 2.0 * tol).verdict == "fail"
         assert bounds._tail_row(10.0, "upper", 20.0, 0.3, 1.0).vacuous
         assert not bounds._tail_row(10.0, "upper", 20.0, 0.3, 0.99).vacuous
+
+    def test_passed_is_one_property_and_no_field(self):
+        classes = (TailBoundRow, TheoremReport, regularity.RegularityCertificate, regularity.GrowthLemmaReport)
+        assert len({cls.passed for cls in classes}) == 1
+        assert not any("passed" in {f.name for f in dataclasses.fields(cls)} for cls in classes)
+        assert self.PASS.passed and not self.FAIL.passed and "passed" not in self.PASS.to_dict()
 
     def test_rules_are_not_public(self):
         assert "sandwich_verdict" not in bounds.__all__ and "tail_row" not in bounds.__all__

@@ -104,6 +104,10 @@ class TestParseModelSpec:
             )
         with pytest.raises(ValueError, match="repeat"):
             cli.parse_model_spec({"k": 1, "components": [{"family": "uniform01", "repeat": 0}]})
+        with pytest.raises(ValueError, match="component #1 must be an object"):
+            cli.parse_model_spec({"k": 1, "components": [{"family": "uniform01"}, 3]})
+        with pytest.raises(ValueError, match='component #0: missing "family"'):
+            cli.parse_model_spec({"k": 1, "components": [{"scale": 2.0}]})
 
 
 class TestParseGrid:
@@ -330,6 +334,23 @@ class TestExitCodes:
             assert cli.main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "true", '"1"'],
+                             ids=["nan", "inf", "-inf", "bool", "string"])
+    def test_pairs_of_non_finite_or_non_numbers_are_two(self, capsys, tmp_path, entry):
+        # Python's json reads NaN and Infinity; the laws refuse them.
+        pairs = {"atoms": f"[[{entry}, 1.0]]", "knots": f"[[0, 0], [{entry}, 1]]"}
+        argvs = [["check-condition", "--family", "atomic", "--atoms", pairs["atoms"], "--K", "3"],
+                 ["check-condition", "--family", "piecewise_linear", "--knots", pairs["knots"], "--K", "2"]]
+        for family, name in (("atomic", "atoms"), ("piecewise_linear", "knots")):
+            path = tmp_path / f"{family}.json"
+            path.write_text(f'{{"k": 1, "components": [{{"family": "uniform01"}}, '
+                            f'{{"family": "{family}", "params": {{"{name}": {pairs[name]}}}}}]}}')
+            argvs.append(["verify-theorem", "--model", str(path), "--K", "3"])
+        for argv in argvs:
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "pairs of finite reals" in err, err
 
     def test_help_is_zero(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -461,6 +461,28 @@ class TestMixture:
         with pytest.raises(ValueError):
             MixtureCdf(())
 
+    def test_survival_is_one_minus_the_cdf(self):
+        mix = MixtureCdf((Uniform01(), Atomic(atoms=((0.5, 1.0),))))
+        assert mix.survival(0.25) == 0.875 and isinstance(mix.survival(0.25), float)
+        np.testing.assert_array_equal(mix.survival(np.array([0.0, 0.5, 2.0])), [1.0, 0.25, 0.0])
+
+    def test_blocks_are_keyed_by_family_scalar_parameters_and_table_widths(self):
+        laws = (
+            Atomic(atoms=((1.0, 1.0),)),
+            Atomic(atoms=((1.0, 0.5), (2.0, 0.5))),
+            Atomic(atoms=((3.0, 1.0),), scale=2.0),
+            ParetoPower(p=2.0),
+            ParetoPower(p=1.0),
+            ParetoPower(p=np.float32(2.0), scale=3.0),
+            Exponential(rate=1.0),
+            Exponential(rate=np.int64(2)),
+            PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 1.0))),
+        )
+        mix = MixtureCdf(laws)
+        # Tables 2 wide for one atom, 4 for two atoms or two knots.
+        assert [idx.tolist() for idx, *_ in mix._batch] == [[0, 2], [1], [3, 5], [4], [6, 7], [8]]
+        assert mix.quantile_calls == 6
+
 
 def per_law_cdf(d, t, left=False):
     """A table law's cdf by one ``searchsorted`` or ``interp`` call on its own atoms or knots."""
@@ -577,6 +599,48 @@ class TestTableLaws:
 
 
 class TestValidation:
+    BAD_NUMBERS = pytest.mark.parametrize(
+        "bad",
+        [math.nan, np.float64("nan"), math.inf, -math.inf, True, np.bool_(True), "1.0", None, 10**400],
+        ids=["nan", "numpy-nan", "inf", "-inf", "bool", "numpy-bool", "string", "none", "huge-int"],
+    )
+
+    @BAD_NUMBERS
+    def test_atom_and_knot_entries_are_finite_reals(self, bad):
+        for build in (
+            lambda v: Atomic(atoms=((v, 1.0),)),
+            lambda v: Atomic(atoms=((0.0, 0.5), (1.0, v))),
+            lambda v: PiecewiseLinearCdf(knots=((0.0, 0.0), (v, 1.0))),
+            lambda v: PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, v), (2.0, 1.0))),
+        ):
+            with pytest.raises(ValueError, match="pairs of finite reals"):
+                build(bad)
+
+    @BAD_NUMBERS
+    def test_scale_parameters_and_factors_are_finite_reals(self, bad):
+        with pytest.raises(ValueError, match="scale must be a finite positive real"):
+            Uniform01(scale=bad)
+        with pytest.raises(ValueError, match="rate must be a finite positive real"):
+            Exponential(rate=bad)
+        with pytest.raises(ValueError, match="scale factor must be a finite positive real"):
+            Atomic().scaled(bad)
+
+    def test_scaled_refuses_a_factor_that_is_not_positive(self):
+        for bad in (0.0, -2.0):
+            with pytest.raises(ValueError, match="scale factor"):
+                Uniform01().scaled(bad)
+
+    def test_numpy_scalars_are_reals(self):
+        for v in (np.float64(2.0), np.float32(2.0), np.int64(2), 2):
+            d = Exponential(rate=v, scale=v)
+            assert d == Exponential(rate=2.0, scale=2.0) and type(d.rate) is type(d.scale) is float
+            assert Uniform01().scaled(v) == Uniform01(scale=2.0)
+        atoms = Atomic(atoms=((np.int64(1), np.float32(0.5)), (np.float64(2.0), 0.5)))
+        assert atoms == Atomic(atoms=((1.0, 0.5), (2.0, 0.5)))
+        assert all(type(x) is float for pair in atoms.atoms for x in pair)
+        knots = PiecewiseLinearCdf(knots=[[np.int64(0), 0], [np.float32(0.5), 1]])
+        assert knots.knots == ((0.0, 0.0), (0.5, 1.0)) and knots.special_points() == (0.0, 0.5)
+
     def test_scale_positive(self):
         for bad in (0.0, -1.0, math.inf, math.nan, True):
             with pytest.raises(ValueError):

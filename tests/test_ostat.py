@@ -54,6 +54,16 @@ class TestModel:
         with pytest.raises(TypeError):
             OrderStatModel(components=(Uniform01(),), k=1.0)
 
+    def test_rank_must_be_an_integer(self):
+        comps = (Uniform01(),) * 3
+        for bad in (True, False, 1.5, 2.0, "2", None, np.bool_(True)):
+            with pytest.raises(ValueError, match='"k" must be an integer'):
+                OrderStatModel(comps, bad)
+        with pytest.raises(ValueError, match='"k" must be an integer'):
+            OrderStatModel(comps, 2).with_rank(True)
+        m = OrderStatModel(comps, np.int64(2))
+        assert m.k == 2 and type(m.k) is int
+
     def test_with_rank(self):
         m = mixed_model(k=2)
         m5 = m.with_rank(5)

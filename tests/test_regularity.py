@@ -85,6 +85,10 @@ class TestCondition:
             with pytest.raises(ValueError):
                 check_condition(Uniform01(), bad)
 
+    def test_unknown_form(self):
+        with pytest.raises(ValueError, match="unknown inequality form 'strong'"):
+            pointwise_margins(Uniform01(), 2.0, form="strong")
+
     def test_scale_invariance_of_verdicts(self):
         for d, K in CATALOGUE[:5]:
             base = check_condition(d, K).verdict
@@ -232,6 +236,10 @@ class TestMinK:
         res = find_min_K(Exponential(rate=1.0))
         assert res.K <= 3.0
         assert res.K == pytest.approx(2.0, abs=2e-3)
+
+    def test_passing_lower_end_is_the_answer(self):
+        res = find_min_K(Uniform01(), K_range=(2.5, 8.0))
+        assert res.K == 2.5 and res.bracket == (2.5, 2.5)
 
     def test_not_found(self):
         d = Atomic(atoms=((1.0, 0.5), (100.0, 0.5)))
