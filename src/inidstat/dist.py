@@ -64,6 +64,17 @@ def _wrap(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
+class _NotAnInteger(ValueError, TypeError):
+    """A number that is not an integer (a bool is not one): bad input of the wrong type."""
+
+
+def _integer(v, what: str) -> int:
+    """``v`` as an int if it is an integer (numpy integers are, bools and floats are not)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise _NotAnInteger(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _real(v, what: str, positive: bool = False) -> float:
     """``v`` as a float if it is a finite real (numpy scalars are, bools are not), positive if ``positive``."""
     try:

@@ -14,11 +14,10 @@ theorem puts close to the median; each model computes q once.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .dist import Distribution, MixtureCdf, left_quantile_bisect
+from .dist import Distribution, MixtureCdf, _integer, left_quantile_bisect
 from .pbin import tail_at_least
 
 __all__ = [
@@ -30,10 +29,6 @@ __all__ = [
     "kmax_cdf",
     "averaged_quantile",
 ]
-
-
-class _NotAnInteger(ValueError, TypeError):
-    """A rank k that is not an integer (a bool is not one): bad input of the wrong type."""
 
 
 @dataclass(frozen=True)
@@ -50,9 +45,7 @@ class OrderStatModel:
 
     def __post_init__(self) -> None:
         mixture = MixtureCdf(self.components)
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise _NotAnInteger(f'rank "k" must be an integer, got {self.k!r}')
-        k = int(self.k)
+        k = _integer(self.k, 'rank "k"')
         if not 1 <= k <= mixture.n:
             raise ValueError(f"rank k must lie in [1, {mixture.n}], got {k}")
         object.__setattr__(self, "components", mixture.components)

@@ -10,36 +10,37 @@ or failures up to n - k, whose survivors are summed (when k is close to n).
 
 ``tail_at_least`` also takes a stack of vectors, an array of shape (..., n)
 with one vector of probabilities per threshold, and returns their tails
-from one pass over the n trials: the recurrence state holds one column per
-vector, so the Python loop runs n times whatever the number T of vectors
-is, and each step does the arithmetic of T steps in three numpy calls.  A
-pass costs about n * (a + b * T * width): the fixed cost a of the calls,
-paid once instead of T times, dominates at small width.  States about a
-hundred times wider than T run one pass per vector instead, which is
-cheaper there.  Every vector's tail equals the tail of that vector alone,
-bit for bit.
+from one pass: the state holds one column per vector, so the number of
+numpy calls does not grow with the number T of vectors.  Every vector's
+tail equals the tail of that vector alone, bit for bit.
 
-A pass skips the trials that change nothing in its state, so it runs only
-the steps that move mass.  On the absorbing side (small k) a trial that is
-a sure failure (p = 0) in every row is skipped, and a pass with fewer than
-k trials left returns exactly 0.  On the dual side (k near n) a trial that
-is a sure success in every row is skipped, and the f trials that are sure
-failures in every row become an offset: each shifts the state by one row,
-exactly, whatever its place in the sequence, so the state starts f rows up
-and holds only the failure counts f..n-k (the tail is exactly 0 when
-f > n - k).  Sure successes on the absorbing side stay in the recurrence:
-their absorbed mass would be added in another order.  Multiplying by 1,
-adding 0 and shifting are exact, so the skipped pass gives the same tails,
-bit for bit, as the full one.
+A pass works on blocks of consecutive trials, b of them, with b set by n
+alone: one block while n <= 32, about sqrt(n) above that.  The recurrence
+builds the count law of every block at once, three numpy calls per step
+for b steps, with one column per (vector, block) pair.  Each block's law is
+then folded into the truncated state by one matrix product over a sliding
+window of the state; on the absorbing side the counts that reach k or more
+go into the absorbed total.  That is about 3b + 3n/b numpy calls instead of
+3n.  Blocks are fixed by position, whatever the probabilities, and the
+failure probabilities 1 - p_i are formed once and passed as they are, so a
+tail computed from success probabilities near 1e-6 keeps its digits.  A
+sure trial (p_i = 0 or 1) inside a block is an exact identity or an exact
+shift of that block's law.  Every term of the pass is nonnegative, so each
+tail is relative-accurate: within n * 2**-53 of the exact tail of the same
+doubles, and for n <= 32, where the pass is the recurrence itself, bit for
+bit the one-trial-at-a-time recurrence.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
+from .dist import _integer
 
 __all__ = [
     "SuccessVector",
@@ -52,10 +53,8 @@ __all__ = [
 
 _BRUTE_FORCE_MAX_N = 20
 
-# A pass over T thresholds updates a (width, T) state with broadcasts that
-# cost numpy a fixed amount per state row; it beats T one-row passes while
-# the width is below about this many state rows per threshold.
-_ROW_WIDTH = 96
+# Passes over at most this many trials run as one block.
+_ONE_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +96,7 @@ def _coerce(sv: SuccessLike) -> SuccessVector:
 
 
 def _check_rank(k, n: int) -> int:
-    k = operator.index(k)
+    k = _integer(k, 'rank "k"')
     if not 0 <= k <= n + 1:
         raise ValueError(f"k must be an integer in [0, {n + 1}], got {k}")
     return k
@@ -126,18 +125,14 @@ def tail_at_least(sv: SuccessLike, k):
     ``sv`` is a ``SuccessVector``, a sequence, or an array of shape (..., n):
     a stack of vectors of n probabilities each.  The result has shape (...),
     each tail equal bit for bit to the tail of its vector alone, or is a
-    float for a single vector; a scalar is a one-trial vector.  The vectors
-    share one pass over the n trials on a (min(k, n - k + 1), T) state
-    updated in place, for T vectors: n Python steps of three numpy calls
-    each, for T tails at once, unless the state is so wide that a pass per
-    vector is cheaper.
+    float for a single vector; a scalar is a one-trial vector.  ``k`` is an
+    integer in [0, n + 1] (numpy integers are, bools are not).
 
-    Trials that are sure in every vector and change nothing in the truncated
-    state are skipped (see the module docstring): sure failures on the
-    absorbing side and sure successes on the dual side, while dual-side sure
-    failures start the state at an offset.  The side is chosen from the
-    original (n, k), and every tail is still the one the full recurrence
-    gives, bit for bit.
+    The vectors share one blocked pass (see the module docstring): the count
+    laws of blocks of about sqrt(n) trials, built side by side, then one
+    matrix product per block, for all T vectors at once.  A pass over at
+    most 32 trials is one block, the recurrence itself.  Every tail is
+    relative-accurate, exact zeros included.
     """
     p = sv.p if isinstance(sv, SuccessVector) else _checked(np.atleast_1d(np.asarray(sv, dtype=float)))
     *stack, n = p.shape
@@ -148,63 +143,97 @@ def tail_at_least(sv: SuccessLike, k):
         tails = np.ones(rows)
     elif k == n + 1:
         tails = np.zeros(rows)
-    elif min(k, n - k + 1) <= _ROW_WIDTH * rows:
-        tails = _truncated_tails(probs, k)
     else:
-        # So wide a state that numpy's per-state-row cost of the broadcast
-        # update outweighs the per-call cost one pass saves: a pass per row.
-        tails = np.array([_truncated_tails(row[None, :], k)[0] for row in probs])
+        tails = _truncated_tails(probs, k)
     return tails.reshape(stack) if stack else float(tails[0])
 
 
 def _truncated_tails(probs: np.ndarray, k: int) -> np.ndarray:
-    # Row i of `succ` holds trial i's success probability under every
-    # threshold; the state's columns are the thresholds, and each step
-    # updates it in place with three numpy calls.
+    """P{S >= k} for each row of ``probs``, 1 <= k <= n, by the blocked pass.
+
+    On the absorbing side (k <= n + 1 - k) the state counts successes
+    0..k-1 and the mass that reaches k is the tail; on the dual side it
+    counts failures 0..n-k and the mass that stays within them is the tail.
+    The trials are cut by position into blocks of ``width``; each block's
+    law is built by the recurrence, up to the state's size, and folded into
+    the state in turn.  Blocks never depend on the probabilities, so every
+    row's tail is the same alone as in any stack.
+    """
     rows, n = probs.shape
     absorbing = k <= n + 1 - k
-    # Only the trials that change the state take a step (see the module
-    # docstring): on the absorbing side those that may succeed in some row,
-    # on the dual side those that are also short of sure in some row.
-    possible = probs.any(axis=0)
-    succ = probs.T[possible if absorbing else possible & (probs < 1.0).any(axis=0)]
-    fail = 1.0 - succ
-    if absorbing:
-        if succ.shape[0] < k:
-            # Fewer than k trials can succeed in any row: no mass reaches k.
-            return np.zeros(rows)
-        # Count successes 0..k-1; the absorbed mass, at k or more, ends as
-        # exactly P{S >= k}.
-        size, up, stay = k, succ, fail
+    # The failure probabilities are formed once; on the dual side the
+    # success probabilities stay as given rather than as 1 - (1 - p).
+    fail = 1.0 - probs
+    size, up, stay = (k, probs, fail) if absorbing else (n - k + 1, fail, probs)
+    width = n if n <= _ONE_BLOCK else math.isqrt(n - 1) + 1
+    blocks = -(-n // width)
+    span = min(width, size)
+    # Step i of block j is trial j*width + i, in column j*rows + r for row
+    # r; the trials that fill up the last block never move.
+    steps = np.zeros((2, blocks * width, rows))
+    steps[1, n:] = 1.0
+    steps[0, :n] = up.T
+    steps[1, :n] = stay.T
+    steps = steps.reshape(2, blocks, width, rows).transpose(0, 2, 1, 3).reshape(2, width, blocks * rows)
+    laws = _count_laws(steps[0], steps[1], span)
+    if blocks == 1:
+        # The law of the one block is the state: counts 0..size-1, then the
+        # mass past them.  Each row's counts are summed along a contiguous
+        # row, pairwise, as a one-dimensional sum would.
+        counts, past = laws[:size].T.copy(), laws[size]
     else:
-        # Dual recurrence on failure counts 0..n-k; runs that stay within the
-        # allowance end with S >= k, so the surviving mass is the tail.  The
-        # sure failures in every row shift the state up by `shift` rows.
-        allowance = n - k + 1
-        shift = n - int(np.count_nonzero(possible))
-        if shift >= allowance:
-            return np.zeros(rows)
-        size, up, stay = allowance - shift, fail, succ
-    # Rows 0..size-1 count the `up` events; row `size` absorbs the mass that
-    # passes them and never drops back.
-    state = np.zeros((size + 1, rows))
+        counts, past = _fold(laws.T.reshape(blocks, rows, span + 1), size, absorbing)
+    return np.minimum(past if absorbing else counts.sum(axis=1), 1.0)
+
+
+def _count_laws(up: np.ndarray, stay: np.ndarray, size: int) -> np.ndarray:
+    # Row i of `up` and `stay` holds step i's probabilities in every column;
+    # each step updates the (size + 1, columns) state in place with three
+    # numpy calls.  Rows 0..size-1 count the `up` events; row `size` absorbs
+    # the mass that passes them and never drops back.
+    state = np.zeros((size + 1, up.shape[1]))
     state[0] = 1.0
-    moved = np.empty((size, rows))
+    moved = np.empty((size, up.shape[1]))
     below, above = state[:size], state[1:]
     for pu, ps in zip(up, stay):
         np.multiply(below, pu, out=moved)
         np.multiply(below, ps, out=below)
         np.add(above, moved, out=above)
-    if absorbing:
-        tails = state[size]
-    else:
-        # Sum each threshold's survivors along a contiguous row, pairwise,
-        # exactly as a one-dimensional sum of that column would; the zeros
-        # below the shift keep the pairwise grouping of the whole allowance.
-        survivors = np.zeros((rows, allowance))
-        survivors[:, shift:] = state[:size].T
-        tails = survivors.sum(axis=1)
-    return np.minimum(tails, 1.0)
+    return state
+
+
+def _fold(laws: np.ndarray, size: int, absorbing: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's counts 0..size-1 after the blocks in turn, and on the absorbing side the mass past them.
+
+    ``laws[j, r]`` is block j's law of counts 0..span for row r (count span
+    is "span or more" when span = size).  Each row's state sits at offset
+    span in a zero-padded line, and row c of its window reads
+    line[c : c + span + 1], so that window row dotted with a reversed law is
+    count c after the block.  Window rows c >= size are counts past the
+    state.  They land in the line's padding, which the next window reads
+    only in its own rows past the state: on the absorbing side they are
+    added to the past mass and the padding is cleared, on the dual side
+    they are dropped.
+    """
+    blocks, rows, taps = laws.shape
+    span = taps - 1
+    line = size + 2 * span
+    pads = np.zeros((2, rows, line))
+    pads[0, :, span] = 1.0
+    item = pads.itemsize
+    windows = as_strided(pads, (2, rows, size + span, taps), (rows * line * item, line * item, item, item))
+    heads, beyond = pads[:, :, span:, None], pads[:, :, span + size :]
+    # Contiguous reversed laws and at least two window rows keep every row
+    # on the same matrix-vector loop of numpy's, whatever the number of rows.
+    reversed_laws = np.ascontiguousarray(laws[..., ::-1])[..., None]
+    past = np.zeros((rows, span))
+    for j in range(blocks):
+        dst = 1 - j % 2
+        np.matmul(windows[j % 2], reversed_laws[j], out=heads[dst])
+        if absorbing:
+            np.add(past, beyond[dst], out=past)
+            beyond[dst].fill(0.0)
+    return pads[blocks % 2, :, span : span + size], past.sum(axis=1)
 
 
 def brute_force_tail(sv: SuccessLike, k) -> float:

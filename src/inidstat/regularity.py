@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ._record import Record, _Verdict
-from .dist import Distribution, MixtureCdf
+from .dist import Distribution, MixtureCdf, _integer, _real
 
 __all__ = [
     "GridSpec",
@@ -58,13 +58,15 @@ class GridSpec(Record):
     points_per_decade: int = 64
 
     def __post_init__(self) -> None:
-        if not (0 < self.t_min < self.t_max) or not math.isfinite(self.t_max):
+        t_min = _real(self.t_min, "t_min", positive=True)
+        t_max = _real(self.t_max, "t_max", positive=True)
+        if not t_min < t_max:
             raise ValueError(f"need 0 < t_min < t_max finite, got ({self.t_min!r}, {self.t_max!r})")
-        ppd = operator.index(self.points_per_decade)
+        ppd = _integer(self.points_per_decade, "points_per_decade")
         if ppd < 1:
             raise ValueError(f"points_per_decade must be a positive integer, got {ppd}")
-        object.__setattr__(self, "t_min", float(self.t_min))
-        object.__setattr__(self, "t_max", float(self.t_max))
+        object.__setattr__(self, "t_min", t_min)
+        object.__setattr__(self, "t_max", t_max)
         object.__setattr__(self, "points_per_decade", ppd)
 
     def points(self) -> np.ndarray:

@@ -3,7 +3,9 @@
 The package evaluates many thresholds per pass: ``tail_at_least`` takes a
 matrix of probability rows and ``check_condition_batch`` grid-checks many
 laws per cdf call.  These are the plain loops they must reproduce bit for
-bit: one probability vector per recurrence, one law per certificate.
+bit: one probability vector per recurrence, one law per certificate.  The
+count tail is bit for bit for n <= 32 only; above that the package sums in
+blocks of trials, and agrees with the loop here to n * 2**-53 relative.
 ``left_quantile`` is plain bisection, one cdf value per call; the package's
 interpolating search must meet the same left-quantile contract
 (``check_left_quantile``), not return the same float.

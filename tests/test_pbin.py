@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,54 @@ from inidstat.pbin import (
     pmf,
     tail_at_least,
 )
+
+
+def assert_matches_reference(got, probs, k):
+    """``got`` against the one-trial-at-a-time recurrence on each row of ``probs``.
+
+    Bit for bit for n <= 32, where the pass is that recurrence; above, the
+    blocked pass sums in another order, and each tail agrees to within
+    n * 2**-53 relative (absolute below 1e-300), exact zeros equal.
+    """
+    n = probs.shape[-1]
+    want = [sequential_engine.tail_at_least(row, k) for row in probs]
+    if n <= 32:
+        assert got == want
+        return
+    for g, w in zip(got, want):
+        assert (g == 0.0) == (w == 0.0), (k, g, w)
+        assert abs(g - w) <= n * 2.0**-53 * max(w, 1e-300), (k, g, w)
+
+
+def exact_tail(p, k) -> Fraction:
+    """The tail that ``tail_at_least`` rounds, in exact rational arithmetic.
+
+    The truncated recurrence on the same doubles: success probabilities p
+    and failure probabilities 1.0 - p, each a multiple of 2**-e, so the
+    state is held as integers scaled by 2**(e * step).  Absorbing side for
+    k <= n + 1 - k (the mass that reaches k), dual side above (the mass of
+    at most n - k failures).
+    """
+    pairs = [(Fraction(float(x)), Fraction(1.0 - float(x))) for x in p]
+    n = len(pairs)
+    e = max(v.denominator.bit_length() - 1 for pair in pairs for v in pair)
+    absorbing = k <= n + 1 - k
+    size = k if absorbing else n - k + 1
+    state, past = [1] + [0] * (size - 1), 0
+    for succ, fail in pairs:
+        up, stay = (succ, fail) if absorbing else (fail, succ)
+        up, stay = int(up * 2**e), int(stay * 2**e)
+        past = (past << e) + state[-1] * up
+        state = [state[0] * stay] + [state[j] * stay + state[j - 1] * up for j in range(1, size)]
+    return Fraction(past if absorbing else sum(state), 1 << (e * n))
+
+
+def assert_relative_to_exact(got, probs, k):
+    # Relative error of at most n * 2**-53 against the exact tail, per row.
+    n = probs.shape[-1]
+    for g, row in zip(got, probs):
+        exact = exact_tail(row, k)
+        assert abs(Fraction(g) - exact) <= Fraction(n, 2**53) * exact, (k, g, float(exact))
 
 
 class TestSuccessVector:
@@ -71,6 +121,15 @@ class TestTail:
         with pytest.raises(TypeError):
             tail_at_least([0.5], 0.5)
 
+    def test_rank_is_an_integer(self):
+        # One rank rule with OrderStatModel: bools and floats are refused,
+        # numpy integers are accepted.
+        for f in (tail_at_least, brute_force_tail):
+            for bad in (True, False, 1.0, 0.5, np.bool_(True), "1", None):
+                with pytest.raises(ValueError, match='rank "k" must be an integer'):
+                    f([0.5, 0.5], bad)
+            assert f([0.5, 0.5], np.int64(1)) == f([0.5, 0.5], 1) == 0.75
+
     def test_matches_pmf_cumsum(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -130,30 +189,30 @@ class TestBatchedTail:
             alone = [tail_at_least(row, k) for row in probs]
             assert all(type(v) is float for v in alone)
             assert batch.tolist() == alone
-            assert alone == [sequential_engine.tail_at_least(row, k) for row in probs]
+            assert_matches_reference(alone, probs, k)
             stack = tail_at_least(probs.reshape(2, 3, n), k)
             assert stack.shape == (2, 3) and stack.ravel().tolist() == alone
         assert tail_at_least(np.full((2, 3, 4), 0.5), 1).tolist() == [[0.9375] * 3] * 2
 
     def test_wide_state_few_rows(self):
-        # States much wider than the number of rows take one pass per row.
+        # A state much wider than the number of rows, across 25 blocks.
         rng = np.random.default_rng(5)
         probs = self.rows(rng, 600)[:3]
         for k in (1, 2, 150, 300, 301, 302, 450, 599, 600, 601):
-            want = [sequential_engine.tail_at_least(row, k) for row in probs]
-            assert tail_at_least(probs, k).tolist() == want
-            assert tail_at_least(probs[:1], k).tolist() == want[:1]
+            got = tail_at_least(probs, k).tolist()
+            assert_matches_reference(got, probs, k)
+            assert tail_at_least(probs[:1], k).tolist() == got[:1]
 
     @staticmethod
     def assert_rows_match(probs, k):
-        # The batch, each row alone and the one-row reference, bit for bit.
-        want = [sequential_engine.tail_at_least(row, k) for row in probs]
-        assert tail_at_least(probs, k).tolist() == want
-        assert [tail_at_least(row, k) for row in probs] == want
+        # The batch and each row alone bit for bit, and the one-row reference.
+        got = tail_at_least(probs, k).tolist()
+        assert [tail_at_least(row, k) for row in probs] == got
+        assert_matches_reference(got, probs, k)
 
     def test_columns_sure_in_some_rows_only(self):
-        # Zeros and ones that a column has in some rows but not all stay in
-        # the recurrence; the all-zero and all-one columns are skipped.
+        # Zeros and ones in some rows of a column, and columns of zeros or
+        # ones in every row.
         rng = np.random.default_rng(7)
         n = 30
         probs = rng.random((5, n))
@@ -167,8 +226,8 @@ class TestBatchedTail:
 
     @pytest.mark.parametrize("n", [12, 40])
     def test_dual_side_sure_failures(self, n):
-        # f trials fail in every row: the dual state starts f rows up, and
-        # the tail is exactly 0 once f exceeds the allowance n - k.
+        # f trials fail in every row: the tail is exactly 0 once f exceeds
+        # the allowance n - k.
         rng = np.random.default_rng(n)
         for f in range(0, n + 1, n // 12):
             probs = rng.random((4, n))
@@ -202,6 +261,57 @@ class TestBatchedTail:
         probs[:, rng.permutation(n)[:25]] = 1.0
         for k in range(1, n // 2 + 1, 3):
             self.assert_rows_match(probs, k)
+
+    def test_blocks_batch_alone_and_stack_bit_for_bit(self):
+        # n = 100 runs as 10 blocks of 10 trials; columns are sure in some
+        # rows only, or in every row, and the blocks stay the same alone.
+        rng = np.random.default_rng(13)
+        n = 100
+        probs = rng.random((6, n))
+        probs[rng.random((6, n)) < 0.25] = 0.0
+        probs[rng.random((6, n)) < 0.25] = 1.0
+        probs[:, 7] = 0.0
+        probs[:, 55] = 1.0
+        probs[:3, 90:] = 0.0
+        probs[3:, :15] = 1.0
+        for k in range(n + 2):
+            batch = tail_at_least(probs, k).tolist()
+            assert [tail_at_least(row, k) for row in probs] == batch
+            assert tail_at_least(probs.reshape(3, 2, n), k).ravel().tolist() == batch
+            assert tail_at_least(probs[::-2], k).tolist() == batch[::-2]
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_dual_side_tiny_success_probabilities(self, n):
+        # Success probabilities near 1e-6 on the dual side: the pass uses
+        # them as given, so tails from 1e-70 down to 1e-289 keep their
+        # digits, where 1 - (1 - p) would lose about 8 of them.
+        rng = np.random.default_rng(n)
+        probs = 1e-6 * rng.uniform(0.5, 2.0, (3, n))
+        probs[1, ::5] = 0.5
+        ks = range(n // 2 + 1, n + 1) if n <= 40 else (51, 52, 53, 54)
+        for k in ks:
+            got = tail_at_least(probs, k).tolist()
+            assert 0.0 < min(got) and max(got) < 1e-70
+            assert_relative_to_exact(got, probs, k)
+
+    def test_absorbing_side_tiny_tails(self):
+        rng = np.random.default_rng(17)
+        n = 200
+        probs = 1e-6 * rng.uniform(0.5, 2.0, (2, n))
+        probs[1, 100:] = rng.random(100) ** 8
+        for k in (1, 2, 5, 20, 40):
+            got = tail_at_least(probs, k).tolist()
+            assert 0.0 < min(got) and (k < 5 or got[0] < 1e-20)
+            assert_relative_to_exact(got, probs, k)
+
+    def test_wide_state_against_exact(self):
+        # n = 600 runs as 25 blocks of 24 trials, for 1 to 3 rows.
+        probs = np.random.default_rng(19).uniform(0.05, 0.95, (3, 600))
+        for k in (2, 300, 450):
+            got = tail_at_least(probs, k).tolist()
+            assert_relative_to_exact(got, probs, k)
+            for rows in (1, 2):
+                assert tail_at_least(probs[:rows], k).tolist() == got[:rows]
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_extreme_ranks(self, n):

@@ -40,6 +40,28 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1.0, 2.0, 0)
 
+    def test_number_rule(self):
+        # t_min and t_max are finite positive reals, points_per_decade an
+        # integer of at least 1: numpy numbers are accepted, bools, floats
+        # for the integer and strings are refused with ValueError.
+        for bad in (
+            (True, 10.0, True),
+            (True, 10.0, 4),
+            (1e-3, True, 4),
+            (1e-3, 1e3, True),
+            (1e-3, 1e3, 1.5),
+            (1e-3, 1e3, 4.0),
+            (1e-3, 1e3, -2),
+            (np.nan, 1.0, 4),
+            (1e-3, np.inf, 4),
+            ("0.001", 1e3, 4),
+        ):
+            with pytest.raises(ValueError):
+                GridSpec(*bad)
+        grid = GridSpec(np.float64(1e-3), 1000, np.int64(4))
+        assert grid == GridSpec(1e-3, 1e3, 4)
+        assert type(grid.t_max) is float and type(grid.points_per_decade) is int
+
     def test_special_points_are_probed(self):
         d = Atomic(atoms=((3.1415, 1.0),))
         pts = GridSpec(1.0, 2.0, 4).points_for(d)
