@@ -53,6 +53,9 @@ _GUESS_NEAR, _GUESS_FAR = 2e-3, 2e-2
 # Cells (laws times points) per cdf formula call in MixtureCdf.family_blocks,
 # which bounds the working memory of a call whatever the number of laws.
 _RUN_CELLS = 1 << 15
+# Orders per quantile formula call in MixtureCdf.family_quantiles: a call's
+# few temporaries of this size stay well below a Monte Carlo chunk of 2**15.
+_QUANTILE_RUN_CELLS = 1 << 12
 
 
 def _split(x) -> tuple[np.ndarray, bool]:
@@ -128,16 +131,13 @@ class Distribution:
     numpy scalars included; a bool, string, NaN or infinity is a ValueError.
     The formulas broadcast over args stacked as a column against the points,
     so ``MixtureCdf.family_blocks`` and ``MixtureCdf.family_quantiles``
-    evaluate a block of laws in one call to the code a single law runs.  A
-    block's laws share their family, the widths of their tables and the
-    values of the parameters named in ``_scalar_params``, which reach the
-    quantile formula as Python floats, never as arrays.
+    evaluate a block of laws by the code a single law runs.  A block's laws
+    share their family and the widths of their tables.
     """
 
     scale: float = field(default=1.0, kw_only=True)
 
     _params: ClassVar[tuple[str, ...]] = ()
-    _scalar_params: ClassVar[tuple[str, ...]] = ()
     _tables: ClassVar[tuple[np.ndarray, ...]] = ()
     _cdf_formula: ClassVar[Callable[..., np.ndarray]]
     _quantile_formula: ClassVar[Callable[..., np.ndarray]]
@@ -215,16 +215,13 @@ class ParetoPower(Distribution):
 
     The cdf is computed as -expm1(-p * log t): free of ``pow``, whose
     rounding differs between numpy scalars and arrays, and accurate in
-    relative terms near t = 1, where 1 - t**(-p) cancels.  The quantile
-    (1 - r)**(-1/p) does use ``pow``, so p is a scalar parameter: at p = 1
-    numpy computes ``array ** -1.0`` through a reciprocal only when the
-    exponent is a Python float, and a broadcast exponent array differs from
-    that in the last bit for about 5% of the orders.
+    relative terms near t = 1, where 1 - t**(-p) cancels.  The quantile is
+    (1 - r)**(-1/p), a reciprocal at p = 1, so that it has the same bits
+    whether p is a float or a column of a block.
     """
 
     p: float = 1.0
     _params = ("p",)
-    _scalar_params = ("p",)
 
     @staticmethod
     def _cdf_formula(x, p):
@@ -232,7 +229,9 @@ class ParetoPower(Distribution):
 
     @staticmethod
     def _quantile_formula(r, p):
-        return (1.0 - r) ** (-1.0 / p)
+        s = 1.0 - r
+        # numpy takes a reciprocal for a Python-float exponent of -1.0, but not for an exponent array.
+        return np.where(p == 1.0, 1.0 / s, s ** (-1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -529,19 +528,17 @@ class MixtureCdf:
 
     @cached_property
     def _batch(self) -> list:
-        # One (indices, family, scales, stacked args) block per family,
-        # values of its scalar parameters and widths of its tables.
+        # One (indices, family, scales, stacked args) block per family and
+        # widths of its tables.
         members: dict[tuple, list[int]] = {}
         for i, d in enumerate(self.components):
-            key = (type(d), *(getattr(d, name) for name in d._scalar_params), *map(len, d._tables))
-            members.setdefault(key, []).append(i)
+            members.setdefault((type(d), *map(len, d._tables)), []).append(i)
         return [
             (
                 np.array(idx, dtype=np.intp),
                 key[0],
                 np.array([self.components[i].scale for i in idx]),
-                [np.array([getattr(self.components[i], name) for i in idx]) for name in key[0]._params]
-                + [np.array(column) for column in zip(*(self.components[i]._tables for i in idx))],
+                [np.array(column) for column in zip(*(self.components[i]._args for i in idx))],
             )
             for key, idx in members.items()
         ]
@@ -550,11 +547,6 @@ class MixtureCdf:
     def _family_order(self) -> np.ndarray:
         # The components block by block.
         return np.concatenate([idx for idx, *_ in self._batch])
-
-    @property
-    def quantile_calls(self) -> int:
-        """Formula calls that one ``family_quantiles`` call makes: one per block."""
-        return len(self._batch)
 
     def family_blocks(self, t, left: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (indices, values): ``values[j]`` is F_i(t), or F_i(t-) if ``left``, for i = indices[j].
@@ -587,22 +579,24 @@ class MixtureCdf:
         has the same shape, one row per component equal to ``d.quantile`` at
         its orders bit for bit, but in an order fixed per mixture that puts
         each block together: it suits uses that ignore the order of the laws,
-        such as order statistics.  Each block takes one call of its
+        such as order statistics.  Each block is evaluated by its
         ``_quantile_formula``, the code ``d.quantile`` runs, on stacked args,
-        so a call makes ``quantile_calls`` calls in all.
+        in one call per run of at most ``_QUANTILE_RUN_CELLS // size(S)``
+        members (at least one), so that a call's temporaries stay small.
         """
         x = np.asarray(u, dtype=float)[self._family_order]
         # min and max propagate NaN, which fails both comparisons.
         if not (x.min() > 0.0 and x.max() < 1.0):
             raise ValueError("quantile orders must lie strictly inside (0, 1)")
-        column = (slice(None),) + (None,) * (x.ndim - 1)
+        step = max(1, _QUANTILE_RUN_CELLS // x[0].size)
         start = 0
-        for idx, cls, scales, stacked in self._batch:
-            rows = slice(start, start + idx.size)
-            scalar = [i for i, name in enumerate(cls._params) if name in cls._scalar_params]
-            args = (float(a[0]) if i in scalar else a[column] for i, a in enumerate(stacked))
-            x[rows] = scales[column] * cls._quantile_formula(x[rows], *args)
-            start = rows.stop
+        for idx, cls, scales, args in self._batch:
+            for s in range(0, idx.size, step):
+                # The members' args as a column against their rows of orders.
+                run = (slice(s, s + step),) + (None,) * (x.ndim - 1)
+                rows = x[start + s : start + min(s + step, idx.size)]
+                np.multiply(scales[run], cls._quantile_formula(rows, *(a[run] for a in args)), out=rows)
+            start += idx.size
         return x
 
     def component_cdfs(self, t, left: bool = False) -> np.ndarray:

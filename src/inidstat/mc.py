@@ -7,25 +7,26 @@ estimates carry a distribution-free order-statistic confidence interval.
 
 All uniforms come from one Philox4x64 stream keyed by the seed (mod 2**64)
 and read in order: replicate j owns the stream's draws [j*n, (j+1)*n), one
-per component.  Replicates are processed in bounded chunks, so memory stays
-O(R + chunk) floats for R replicates.  Each chunk is turned into quantiles
-by ``family_quantiles``, which gathers it into component-major rows family
-block by family block, checks it once to lie strictly inside (0, 1) and
-makes one call per block; the rows are then partitioned for the k-th
-smallest of each replicate.  The draws are those of ``d.quantile`` bit for
-bit, so the results are reproducible bit for bit and do not depend on the
-chunk size.
+per component.  Replicates are processed in chunks of about 2**15 draws, so
+memory stays O(R + chunk) floats for R replicates.  Each chunk is turned into
+quantiles by ``family_quantiles``, which gathers it into component-major rows
+block by block (one block per family, and one per table width of the laws
+with atoms or knots), checks it once to lie strictly inside (0, 1) and calls
+each block's quantile formula on runs of at most 2**12 draws; the rows are
+then partitioned for the k-th smallest of each replicate.  The draws are
+those of ``d.quantile`` bit for bit, so the results are reproducible bit for
+bit and do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._record import Record
+from .dist import _integer, _real
 from .ostat import OrderStatModel
 
 __all__ = [
@@ -37,17 +38,11 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GENERATOR_TAG = "philox4x64(key = seed mod 2**64); replicate j reads draws [j*n, (j+1)*n)"
 _MIN_REPLICATES = 100
-# Uniforms drawn per chunk: at least _CHUNK_VARIATES and, up to
-# _MAX_CHUNK_VARIATES, _BLOCK_VARIATES per quantile call, so that one call
-# per block stays amortised; the row floor keeps that true for very wide
-# models.  On the monte-carlo benchmark, whose models make at most six calls,
-# chunks of 2**15 ran a round about 40% faster than 2**20 (2-core Xeon VM):
-# the chunk, its gathered copy and the block temporaries stay in cache.  Many
-# blocks come only from Pareto laws of distinct p, one block each: 400 such
-# laws (R = 20,000) took 0.24 s with this rule, 0.90 s in chunks of 2**15.
+# Uniforms drawn per chunk, or _MIN_CHUNK_ROWS rows of a very wide model.  On
+# the monte-carlo benchmark chunks of 2**15 ran a round about 40% faster than
+# 2**20 (2-core Xeon VM): the chunk, its gathered copy and the formula
+# temporaries stay in cache.
 _CHUNK_VARIATES = 1 << 15
-_BLOCK_VARIATES = 1 << 12
-_MAX_CHUNK_VARIATES = 1 << 20
 _MIN_CHUNK_ROWS = 64
 
 
@@ -72,10 +67,10 @@ def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:
     """
     from scipy.special import bdtr
 
-    R = operator.index(replicates)
+    R = _integer(replicates, "replicates")
     if R < 1:
         raise ValueError(f"need at least one replicate, got {R}")
-    ci_level = float(ci_level)
+    ci_level = _real(ci_level, "ci_level")
     if not 0.0 < ci_level < 1.0:
         raise ValueError(f"ci_level must lie in (0, 1), got {ci_level!r}")
     half_alpha = (1.0 - ci_level) / 2.0
@@ -93,10 +88,9 @@ def median_ci_ranks(replicates: int, ci_level: float) -> tuple[int, int]:
 
 
 def _chunk_rows(model: OrderStatModel) -> int:
-    variates = max(_CHUNK_VARIATES, min(_BLOCK_VARIATES * model.mixture.quantile_calls, _MAX_CHUNK_VARIATES))
     # An odd row count keeps the column stride of the partition off multiples
     # of 4 KiB, where cache-set conflicts made it up to 3.5x slower.
-    return max(variates // model.n, _MIN_CHUNK_ROWS) | 1
+    return max(_CHUNK_VARIATES // model.n, _MIN_CHUNK_ROWS) | 1
 
 
 def simulate_median(
@@ -109,17 +103,17 @@ def simulate_median(
 
     Replicate j reads draws [j*n, (j+1)*n) of one Philox4x64 stream keyed by
     ``seed`` mod 2**64.  Memory: the R selected values, a chunk of about
-    max(2**15, min(2**12 * c, 2**20), 64*n) draws, where c counts the
-    mixture's ``quantile_calls``, its gathered copy and, while a block is
-    sampled, about two temporaries of the block's size.
+    max(2**15, 64*n) draws, its gathered copy and, while a run of a block is
+    sampled, a few temporaries of 2**12 draws (or of one law's draws, if
+    more).
     """
-    R = operator.index(replicates)
+    R = _integer(replicates, "replicates")
     if R < _MIN_REPLICATES:
         raise ValueError(f"need at least {_MIN_REPLICATES} replicates for a meaningful interval, got {R}")
-    ci_level = float(ci_level)
+    ci_level = _real(ci_level, "ci_level")
     if not 0.5 < ci_level < 1.0:
         raise ValueError(f"ci_level must lie in (0.5, 1), got {ci_level!r}")
-    seed = operator.index(seed)
+    seed = _integer(seed, "seed")
 
     t0 = time.perf_counter()
     n, k = model.n, model.k

@@ -16,7 +16,6 @@ which judges each law's worst margin lhs - rhs by the one rule ``_holds``.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -128,8 +127,8 @@ def _max_power(K: float, sign: int = 1) -> int:
 
 
 def _check_K(K) -> float:
-    K = float(K)
-    if not (math.isfinite(K) and K > 1.0):
+    K = _real(K, "K")
+    if not K > 1.0:
         raise ValueError(f"K must be a finite real > 1, got {K!r}")
     return K
 
@@ -293,11 +292,11 @@ def check_lemma_growth(
     2^ell must be finite; an empty survival set passes with margin inf.
     """
     K = _check_K(K)
-    ell = operator.index(ell)
+    ell = _integer(ell, "ell")
     most = _max_power(max(K, 2.0))
     if not 1 <= ell <= most:
         raise ValueError(f"ell must lie in [1, {most}] at K={K:g}, where K^ell and 2^ell stay finite; got {ell}")
-    gamma = float(gamma)
+    gamma = _real(gamma, "gamma")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma!r}")
 

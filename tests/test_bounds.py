@@ -117,8 +117,8 @@ class TestTheorem:
 
     def test_K_domain(self):
         m = OrderStatModel(components=(Uniform01(),), k=1)
-        for bad in (1.0, 0.2, math.inf, math.nan):
-            with pytest.raises(ValueError):
+        for bad in (1.0, 0.2, math.inf, math.nan, "3", True):
+            with pytest.raises(ValueError, match="K must"):
                 verify_theorem(m, bad)
 
     def test_certificates_shared_across_repeats(self):

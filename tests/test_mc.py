@@ -137,6 +137,14 @@ class TestMedianCiRanks:
         with pytest.raises(ValueError, match=message):
             median_ci_ranks(R, level)
 
+    def test_number_rule(self):
+        # R is an integer (a numpy integer is, a bool is not) and ci_level a
+        # finite real (a bool or string is not).
+        assert median_ci_ranks(np.int64(500), np.float64(0.95)) == median_ci_ranks(500, 0.95)
+        for R, level, message in ((True, 0.5, "replicates"), (500, True, "ci_level"), (500, "0.9", "ci_level")):
+            with pytest.raises(ValueError, match=message):
+                median_ci_ranks(R, level)
+
     def test_few_replicates(self):
         # Below the simulation's floor of 100 the ranks still cover, or are
         # the whole sample when even that falls short of the level.
@@ -202,6 +210,13 @@ class TestSimulateMedian:
         with pytest.raises(TypeError):
             simulate_median(m, replicates=500.0)
 
+    def test_number_rule(self):
+        m = OrderStatModel(components=(Uniform01(),) * 2, k=1)
+        for name, bad in (("replicates", True), ("seed", True), ("ci_level", True), ("ci_level", "0.9")):
+            with pytest.raises(ValueError, match=name):
+                simulate_median(m, **{"replicates": 200, name: bad})
+        assert values(simulate_median(m, np.int64(200), np.int64(1))) == values(simulate_median(m, 200, 1))
+
     def test_round_trip(self):
         m = OrderStatModel(components=(Uniform01(),) * 2, k=1)
         res = simulate_median(m, replicates=128, seed=3)
@@ -249,8 +264,6 @@ class TestStream:
         defaults = [simulate_median(m, replicates=1001, seed=8) for m in models]
         monkeypatch.setattr(mc, "_CHUNK_VARIATES", variates)
         monkeypatch.setattr(mc, "_MIN_CHUNK_ROWS", min_rows)
-        # One draw per quantile call: the two settings above size the chunk.
-        monkeypatch.setattr(mc, "_BLOCK_VARIATES", 1)
         assert [simulate_median(m, replicates=1001, seed=8) for m in models] == defaults
 
     def test_negative_seed_keys_by_its_64_bit_residue(self):
@@ -276,14 +289,15 @@ class TestStream:
         assert peak < 3 * 8 * (chunk + R)
 
     def test_memory_of_one_law_blocks_is_bounded_by_chunk_and_replicates(self):
-        # Pareto laws with distinct p are blocks of one law each, so the
-        # chunk grows to amortise the calls but stays within its cap.
+        # Pareto laws with distinct p, p = 1 among them, form one block as
+        # large as the chunk; the quantile formula runs on parts of it, so
+        # its temporaries stay within the bound.
         laws = tuple(ParetoPower(p=1.0 + i / 64) for i in range(300))
         m = OrderStatModel(components=laws, k=150)
-        assert m.mixture.quantile_calls == m.n
+        assert len(m.mixture._batch) == 1
         rows = mc._chunk_rows(m)
         chunk = rows * m.n
-        assert mc._CHUNK_VARIATES < chunk <= mc._MAX_CHUNK_VARIATES + m.n
+        assert chunk <= mc._CHUNK_VARIATES + m.n
         R = 4 * rows
         tracemalloc.start()
         try:

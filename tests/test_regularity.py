@@ -103,8 +103,8 @@ class TestCondition:
         assert not cert.passed
 
     def test_K_domain(self):
-        for bad in (1.0, 0.5, math.inf, math.nan):
-            with pytest.raises(ValueError):
+        for bad in (1.0, 0.5, math.inf, math.nan, "3", True):
+            with pytest.raises(ValueError, match="K must"):
                 check_condition(Uniform01(), bad)
 
     def test_unknown_form(self):
@@ -191,6 +191,15 @@ class TestGrowthLemma:
             check_lemma_growth(Uniform01(), 2.0, 1, 0.0)
         with pytest.raises(ValueError):
             check_lemma_growth(Uniform01(), 2.0, 1, 1.0)
+
+    def test_number_rule(self):
+        # ell is an integer (a numpy integer is, a bool is not) and gamma a
+        # finite real (a bool or string is not).
+        d = Exponential(rate=1.0)
+        assert check_lemma_growth(d, 3.0, np.int64(1), np.float64(0.9)) == check_lemma_growth(d, 3.0, 1, 0.9)
+        for ell, gamma, message in ((True, 0.9, "ell"), (1.0, 0.9, "ell"), (1, "0.9", "gamma"), (1, True, "gamma")):
+            with pytest.raises(ValueError, match=message):
+                check_lemma_growth(d, 3.0, ell, gamma)
 
     def test_ell_overflow(self):
         with pytest.raises(ValueError, match="ell must lie in \\[1, 1023\\] at K=2"):
