@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -23,6 +26,29 @@ from inidstat.regularity import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# Each subcommand with its exit code, on Uniform01 and table laws only, whose
+# values are plain arithmetic; "{uniform3}" stands for the uniform3_spec file.
+GOLDEN_ARGV = {
+    "check-condition": (1, ["--family", "uniform01", "--K", "1.5", "--grid", "0.01:1:8"]),
+    "min-k": (0, ["--family", "uniform01", "--grid", "0.01:1:8"]),
+    "median": (0, ["--model", "{uniform3}"]),
+    "quantile": (0, ["--model", "{uniform3}", "--r", "0.25"]),
+    "verify-theorem": (0, ["--model", "{uniform3}", "--K", "2"]),
+    "tail-bounds": (0, ["--model", str(GOLDEN / "model_atomic_pair.json"), "--K", "2"]),
+    "simulate": (0, ["--model", "{uniform3}", "--replicates", "200", "--seed", "17"]),
+    "oracle": (0, ["--seed", "1", "--trials", "5"]),
+}
+FORMATS = ("table", "csv", "json")
+
+
+def _golden_argv(sub: str, fmt: str, uniform3: str) -> list[str]:
+    return [sub, *(a.format(uniform3=uniform3) for a in GOLDEN_ARGV[sub][1]), "--format", fmt]
+
+
+def _masked(text: str) -> str:
+    # simulate's wall time, in the table and in the JSON.
+    return re.sub(r'(elapsed \(s\) +|"elapsed": )[^,\n]+', r"\1<masked>", text)
 
 
 @pytest.fixture
@@ -155,6 +181,13 @@ class TestGoldenFiles:
         text = got.decode()
         assert text.splitlines()[0] == "t,side,threshold,exact_prob,bound,verdict"
         assert "\r" not in text and text.endswith("\n")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("sub", GOLDEN_ARGV)
+    def test_every_output(self, capsys, uniform3_spec, sub, fmt):
+        want = json.loads((GOLDEN / "cli_outputs.json").read_text(encoding="utf-8"))
+        assert cli.main(_golden_argv(sub, fmt, uniform3_spec)) == GOLDEN_ARGV[sub][0]
+        assert _masked(capsys.readouterr().out) == want[f"{sub}/{fmt}"]
 
     def test_golden_model_spec_parses(self):
         with open(GOLDEN / "model_atomic_pair.json", encoding="utf-8") as fh:
@@ -439,3 +472,19 @@ class TestInstalledEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "n,k,median"
+
+
+if __name__ == "__main__":
+    # Rewrites tests/golden/cli_outputs.json: PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        uniform3 = str(Path(tmp) / "u3.json")
+        Path(uniform3).write_text(json.dumps({"k": 2, "components": [{"family": "uniform01", "repeat": 3}]}))
+        outputs = {}
+        for sub in GOLDEN_ARGV:
+            for fmt in FORMATS:
+                with contextlib.redirect_stdout(io.StringIO()) as buf:
+                    cli.main(_golden_argv(sub, fmt, uniform3))
+                outputs[f"{sub}/{fmt}"] = _masked(buf.getvalue())
+    (GOLDEN / "cli_outputs.json").write_text(json.dumps(outputs, indent=2) + "\n", encoding="utf-8")
