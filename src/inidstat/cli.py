@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands delegate 1:1 to the library modules and serialize results as a
-human table (default), CSV, or JSON.  Exit codes: 0 all verdicts pass,
-1 at least one verdict failed, 2 usage or parse error.
+Subcommands delegate 1:1 to the library modules.  Each hands its result to
+one writer, ``_emit``, as a JSON payload, CSV records under named columns and
+a human table, and ``--format`` picks which is written: table (default), csv
+or json.  Exit codes: 0 all verdicts pass, 1 at least one verdict failed,
+2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -124,29 +126,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _emit(args, code: int, payload, columns: str, records, table) -> int:
+    """Write the result in the chosen format and return the exit ``code``.
 
-
-def _kv_table(pairs: list[tuple[str, object]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs) + "\n"
-
-
-def _emit(args, table: str, csv_text: str, payload) -> None:
-    if args.format == "csv":
-        text = csv_text
-    elif args.format == "json":
+    JSON is ``payload``.  CSV has the space-separated ``columns`` as its
+    header, then one line per record (a dict).  The table is ``table`` itself
+    if it is a string, else its (label, value) pairs in two aligned columns.
+    CSV and table values are written by ``_fmt``.
+    """
+    if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
-    else:
+    elif args.format == "csv":
+        names = columns.split()
+        lines = [",".join(names), *(",".join(_fmt(r[name]) for name in names) for r in records)]
+        text = "\n".join(lines) + "\n"
+    elif isinstance(table, str):
         text = table
+    else:
+        width = max(len(label) for label, _ in table)
+        text = "\n".join(f"{label.ljust(width)}  {_fmt(v)}" for label, v in table) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return code
 
 
 def _family_from_args(args) -> Distribution:
@@ -164,66 +168,52 @@ def _cmd_check_condition(args) -> int:
     # One evaluation of the law gives both the certificate and its rows.
     cert, t, lhs, rhs = regularity._pointwise_certificate(d, args.K, grid, args.form)
     margin = lhs - rhs
-    ok = regularity._holds(margin)
-    rows = [
-        [float(t[i]), float(lhs[i]), float(rhs[i]), float(margin[i]), "pass" if ok[i] else "fail"]
-        for i in range(t.size)
-    ]
-    csv_text = _csv(["t", "lhs", "rhs", "margin", "verdict"], rows)
-    pairs = [
+    verdicts = np.where(regularity._holds(margin), "pass", "fail")
+    columns = "t lhs rhs margin verdict"
+    rows = zip(t.tolist(), lhs.tolist(), rhs.tolist(), margin.tolist(), verdicts.tolist())
+    records = [dict(zip(columns.split(), row)) for row in rows]
+    table = [
         ("check", cert.check),
         ("law", repr(d)),
-        ("K", _fmt(cert.K)),
+        ("K", cert.K),
         ("grid points", cert.n_points),
-        ("worst margin", _fmt(cert.margin)),
+        ("worst margin", cert.margin),
         ("verdict", cert.verdict),
     ]
     if cert.witness is not None:
-        wt, wl, wr = cert.witness
-        pairs.append(("worst witness", f"t={_fmt(wt)} lhs={_fmt(wl)} rhs={_fmt(wr)}"))
-    pairs.append(("note", cert.note))
-    _emit(args, _kv_table(pairs), csv_text, cert.to_dict())
-    return EXIT_PASS if cert.passed else EXIT_FAIL
+        table.append(("worst witness", "t={} lhs={} rhs={}".format(*map(_fmt, cert.witness))))
+    table.append(("note", cert.note))
+    return _emit(args, EXIT_PASS if cert.passed else EXIT_FAIL, cert.to_dict(), columns, records, table)
 
 
 def _cmd_min_k(args) -> int:
     d = _family_from_args(args)
     grid = parse_grid(args.grid)
     result = regularity.find_min_K(d, grid, (args.K_lo, args.K_hi), args.tol)
-    rows = [[result.K, result.bracket[0], result.bracket[1]]]
-    csv_text = _csv(["K", "bracket_lo", "bracket_hi"], rows)
-    table = _kv_table(
-        [
-            ("law", repr(d)),
-            ("smallest passing K", _fmt(result.K)),
-            ("bracket", f"({_fmt(result.bracket[0])}, {_fmt(result.bracket[1])})"),
-            ("assumes monotone in K", result.assumes_monotone_in_K),
-        ]
-    )
-    _emit(args, table, csv_text, result.to_dict())
-    return EXIT_PASS
+    lo, hi = result.bracket
+    table = [
+        ("law", repr(d)),
+        ("smallest passing K", result.K),
+        ("bracket", f"({_fmt(lo)}, {_fmt(hi)})"),
+        ("assumes monotone in K", result.assumes_monotone_in_K),
+    ]
+    record = {"K": result.K, "bracket_lo": lo, "bracket_hi": hi}
+    return _emit(args, EXIT_PASS, result.to_dict(), "K bracket_lo bracket_hi", [record], table)
 
 
 def _cmd_median(args) -> int:
     model = load_model(args.model)
     med = ostat.kmin_median(model)
     payload = {"n": model.n, "k": model.k, "median": med}
-    csv_text = _csv(["n", "k", "median"], [[model.n, model.k, med]])
-    table = _kv_table([("n", model.n), ("k", model.k), ("median", _fmt(med))])
-    _emit(args, table, csv_text, payload)
-    return EXIT_PASS
+    return _emit(args, EXIT_PASS, payload, "n k median", [payload], list(payload.items()))
 
 
 def _cmd_quantile(args) -> int:
     model = load_model(args.model)
     value = ostat.kmin_quantile(model, args.r)
     payload = {"n": model.n, "k": model.k, "r": args.r, "quantile": value}
-    csv_text = _csv(["n", "k", "r", "quantile"], [[model.n, model.k, args.r, value]])
-    table = _kv_table(
-        [("n", model.n), ("k", model.k), ("order r", _fmt(args.r)), ("quantile", _fmt(value))]
-    )
-    _emit(args, table, csv_text, payload)
-    return EXIT_PASS
+    table = [("n", model.n), ("k", model.k), ("order r", args.r), ("quantile", value)]
+    return _emit(args, EXIT_PASS, payload, "n k r quantile", [payload], table)
 
 
 def _cmd_verify_theorem(args) -> int:
@@ -231,28 +221,22 @@ def _cmd_verify_theorem(args) -> int:
     grid = parse_grid(args.grid)
     report = bounds.verify_theorem(model, args.K, grid)
     n_pass = sum(1 for c in report.certificates if c.passed)
-    table = _kv_table(
-        [
-            ("K", _fmt(report.K)),
-            ("n", report.n),
-            ("k", report.k),
-            ("q (mixture quantile)", _fmt(report.q)),
-            ("median of k-th smallest", _fmt(report.med)),
-            ("ratio med/q", _fmt(report.ratio)),
-            ("lower factor K^-10", _fmt(report.lower)),
-            ("upper factor K^13", _fmt(report.upper)),
-            ("sandwich holds", report.sandwich_holds),
-            ("regular components", f"{n_pass}/{report.n}"),
-            ("verdict", report.verdict),
-        ]
-    )
-    csv_text = _csv(
-        ["K", "n", "k", "q", "med", "ratio", "lower", "upper", "verdict"],
-        [[report.K, report.n, report.k, report.q, report.med, report.ratio,
-          report.lower, report.upper, report.verdict]],
-    )
-    _emit(args, table, csv_text, report.to_dict())
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    table = [
+        ("K", report.K),
+        ("n", report.n),
+        ("k", report.k),
+        ("q (mixture quantile)", report.q),
+        ("median of k-th smallest", report.med),
+        ("ratio med/q", report.ratio),
+        ("lower factor K^-10", report.lower),
+        ("upper factor K^13", report.upper),
+        ("sandwich holds", report.sandwich_holds),
+        ("regular components", f"{n_pass}/{report.n}"),
+        ("verdict", report.verdict),
+    ]
+    payload = report.to_dict()
+    return _emit(args, EXIT_PASS if report.passed else EXIT_FAIL, payload,
+                 "K n k q med ratio lower upper verdict", [payload], table)
 
 
 def _cmd_tail_bounds(args) -> int:
@@ -270,10 +254,6 @@ def _cmd_tail_bounds(args) -> int:
         if args.count is not None:
             grid = (bounds.default_lower_t_grid if lower else bounds.default_upper_t_grid)(args.K, args.count)
         rows.extend((bounds.verify_lower_tail if lower else bounds.verify_upper_tail)(model, args.K, grid))
-    csv_text = _csv(
-        ["t", "side", "threshold", "exact_prob", "bound", "verdict"],
-        [[r.t, r.side, r.threshold, r.exact_prob, r.bound, r.verdict] for r in rows],
-    )
     header = f"{'t':>12}  {'side':5}  {'threshold':>12}  {'exact_prob':>12}  {'bound':>12}  verdict"
     body = [
         f"{r.t:12.6g}  {r.side:5}  {r.threshold:12.6g}  {r.exact_prob:12.6g}  {r.bound:12.6g}  "
@@ -282,8 +262,9 @@ def _cmd_tail_bounds(args) -> int:
     ]
     all_pass = all(r.passed for r in rows)
     table = "\n".join([header, *body, f"overall: {'pass' if all_pass else 'fail'}"]) + "\n"
-    _emit(args, table, csv_text, [r.to_dict() for r in rows])
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    payload = [r.to_dict() for r in rows]
+    return _emit(args, EXIT_PASS if all_pass else EXIT_FAIL, payload,
+                 "t side threshold exact_prob bound verdict", payload, table)
 
 
 def _cmd_simulate(args) -> int:
@@ -291,24 +272,19 @@ def _cmd_simulate(args) -> int:
     result = mc.simulate_median(model, args.replicates, args.seed, args.ci_level)
     exact = ostat.kmin_median(model)
     covered = result.ci_low <= exact <= result.ci_high
-    pairs = [
+    table = [
         ("replicates", result.replicates),
-        ("estimate", _fmt(result.estimate)),
+        ("estimate", result.estimate),
         ("ci", f"[{_fmt(result.ci_low)}, {_fmt(result.ci_high)}] at {result.ci_level:g}"),
-        ("exact median", _fmt(exact)),
+        ("exact median", exact),
         ("ci covers exact", covered),
         ("seed", result.seed),
         ("generator", result.generator),
         ("elapsed (s)", f"{result.elapsed:.3f}"),
     ]
     payload = dict(result.to_dict(), exact_median=exact, ci_covers_exact=bool(covered))
-    csv_text = _csv(
-        ["replicates", "estimate", "ci_low", "ci_high", "ci_level", "exact_median", "seed"],
-        [[result.replicates, result.estimate, result.ci_low, result.ci_high,
-          result.ci_level, exact, result.seed]],
-    )
-    _emit(args, _kv_table(pairs), csv_text, payload)
-    return EXIT_PASS if covered else EXIT_FAIL
+    return _emit(args, EXIT_PASS if covered else EXIT_FAIL, payload,
+                 "replicates estimate ci_low ci_high ci_level exact_median seed", [payload], table)
 
 
 def _cmd_oracle(args) -> int:
@@ -337,24 +313,20 @@ def _cmd_oracle(args) -> int:
             diffs = np.abs(ostat.kmin_cdf(OrderStatModel(comps, k), ts) - refs)
             worst_iid = max(worst_iid, float(diffs.max()))
 
-    checks = {"tail_vs_enumeration": (worst_tail, 1e-12), "iid_uniform_vs_binomial": (worst_iid, 1e-10)}
-    verdicts = {key: "pass" if worst <= tol else "fail" for key, (worst, tol) in checks.items()}
-    verdict = "pass" if set(verdicts.values()) == {"pass"} else "fail"
-    pairs = []
-    for key, (worst, tol) in checks.items():
-        pairs += [(f"{key.replace('_', ' ')}, max |diff|", _fmt(worst)), ("tolerance", _fmt(tol))]
-    csv_text = _csv(
-        ["check", "max_abs_diff", "tolerance", "verdict"],
-        [[key, worst, tol, verdicts[key]] for key, (worst, tol) in checks.items()],
-    )
-    payload = {key: {"max_abs_diff": worst, "tolerance": tol} for key, (worst, tol) in checks.items()}
-    _emit(args, _kv_table([*pairs, ("verdict", verdict)]), csv_text, dict(payload, verdict=verdict))
-    return EXIT_PASS if verdict == "pass" else EXIT_FAIL
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    checks = [
+        {"check": check, "max_abs_diff": worst, "tolerance": tol, "verdict": "pass" if worst <= tol else "fail"}
+        for check, worst, tol in (("tail_vs_enumeration", worst_tail, 1e-12),
+                                  ("iid_uniform_vs_binomial", worst_iid, 1e-10))
+    ]
+    verdict = "pass" if all(c["verdict"] == "pass" for c in checks) else "fail"
+    table, payload = [], {}
+    for c in checks:
+        table += [(f"{c['check'].replace('_', ' ')}, max |diff|", c["max_abs_diff"]), ("tolerance", c["tolerance"])]
+        payload[c["check"]] = {"max_abs_diff": c["max_abs_diff"], "tolerance": c["tolerance"]}
+    table.append(("verdict", verdict))
+    payload["verdict"] = verdict
+    return _emit(args, EXIT_PASS if verdict == "pass" else EXIT_FAIL, payload,
+                 "check max_abs_diff tolerance verdict", checks, table)
 
 
 def _add_family(p: argparse.ArgumentParser) -> None:
@@ -380,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family(p)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--form", choices=("condition", "measure-form", "weak-condition"), default="condition")
-    _add_common(p)
     p.set_defaults(func=_cmd_check_condition)
 
     p = sub.add_parser("min-k", help="bisect for the smallest passing K")
@@ -388,25 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K-lo", dest="K_lo", type=float, default=1.01)
     p.add_argument("--K-hi", dest="K_hi", type=float, default=8.0)
     p.add_argument("--tol", type=float, default=1e-3)
-    _add_common(p)
     p.set_defaults(func=_cmd_min_k)
 
     p = sub.add_parser("median", help="exact median of the k-th smallest for a model file")
     p.add_argument("--model", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_median)
 
     p = sub.add_parser("quantile", help="exact quantile of the k-th smallest for a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--r", type=float, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_quantile)
 
     p = sub.add_parser("verify-theorem", help="median sandwich certificate for a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--grid", default=None, help="tmin:tmax:ppd for the regularity grid")
-    _add_common(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("tail-bounds", help="tail probability vs budget rows for a model file")
@@ -417,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="points per side in the default grid (10 if not given)")
     p.add_argument("--t", type=float, action="append", default=None,
                    help="explicit t value (repeatable); requires --side")
-    _add_common(p)
     p.set_defaults(func=_cmd_tail_bounds)
 
     p = sub.add_parser("simulate", help="Monte Carlo median with order-statistic CI")
@@ -425,15 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ci-level", dest="ci_level", type=float, default=0.99)
-    _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("oracle", help="cross-check the exact engines against brute force")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
-    _add_common(p)
     p.set_defaults(func=_cmd_oracle)
 
+    # Every subcommand writes through _emit, after its own arguments.
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
     return parser
 
 
