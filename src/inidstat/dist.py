@@ -59,12 +59,21 @@ _QUANTILE_RUN_CELLS = 1 << 12
 
 
 def _split(x) -> tuple[np.ndarray, bool]:
+    # A scalar runs as a one-element array: numpy's scalar ``**`` rounds
+    # differently from its array loop, and a scalar must get the array's bits.
     arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+    return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
 
 
 def _wrap(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
+
+
+def _unit(x, scale):
+    # At extreme scales t / scale overflows to inf, where every cdf formula
+    # gives its limit 1: the right value, so numpy's warning is dropped.
+    with np.errstate(over="ignore"):
+        return x / scale
 
 
 class _NotAnInteger(ValueError, TypeError):
@@ -160,12 +169,12 @@ class Distribution:
     def cdf(self, t):
         """P{X <= t}; accepts a scalar or an array, returns the same shape."""
         x, scalar = _split(t)
-        return _wrap(self._cdf_formula(x / self.scale, *self._args), scalar)
+        return _wrap(self._cdf_formula(_unit(x, self.scale), *self._args), scalar)
 
     def cdf_left_limit(self, t):
         """P{X < t}, the left limit of the cdf at ``t``."""
         x, scalar = _split(t)
-        return _wrap(self._cdf_left_formula(x / self.scale, *self._args), scalar)
+        return _wrap(self._cdf_left_formula(_unit(x, self.scale), *self._args), scalar)
 
     def survival(self, t):
         """P{X > t} as ``1 - cdf(t)``: accurate in absolute terms only.
@@ -173,7 +182,7 @@ class Distribution:
         ``Exponential(1).survival(50.0)`` returns 0.0; the true value is 1.9e-22.
         """
         x, scalar = _split(t)
-        return _wrap(1.0 - self._cdf_formula(x / self.scale, *self._args), scalar)
+        return _wrap(1.0 - self._cdf_formula(_unit(x, self.scale), *self._args), scalar)
 
     def quantile(self, r):
         """Left quantile inf{t : F(t) >= r} for r in [0, 1]."""
@@ -569,7 +578,7 @@ class MixtureCdf:
             for s in range(0, idx.size, step):
                 # The members' args as a column against the points.
                 run = (slice(s, s + step),) + (None,) * t.ndim
-                yield idx[run[0]], formula(x / scales[run], *(a[run] for a in args))
+                yield idx[run[0]], formula(_unit(x, scales[run]), *(a[run] for a in args))
 
     def family_quantiles(self, u) -> np.ndarray:
         """The quantile of each law at its own orders, with the rows grouped by block.

@@ -13,9 +13,9 @@ quantiles by ``family_quantiles``, which gathers it into component-major rows
 block by block (one block per family, and one per table width of the laws
 with atoms or knots), checks it once to lie strictly inside (0, 1) and calls
 each block's quantile formula on runs of at most 2**12 draws; the rows are
-then partitioned for the k-th smallest of each replicate.  The draws are
-those of ``d.quantile`` bit for bit, so the results are reproducible bit for
-bit and do not depend on the chunk size.
+then partitioned for the k-th smallest of each replicate.  Each draw is
+``d.quantile(u)`` bit for bit, for a float u as for an array, so the results
+are reproducible bit for bit and do not depend on the chunk size.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from inidstat.bounds import (
     verify_theorem,
     verify_upper_tail,
 )
-from inidstat.dist import Atomic, Exponential, HalfGaussian, MixtureCdf, Uniform01
-from inidstat.ostat import OrderStatModel, averaged_quantile
+from inidstat.dist import Atomic, Exponential, HalfGaussian, MixtureCdf, ParetoPower, Uniform01
+from inidstat.ostat import OrderStatModel, averaged_quantile, kmin_median
 from inidstat.regularity import DEFAULT_GRID, GridSpec, check_condition, check_condition_batch
 
 
@@ -207,6 +208,19 @@ class TestUnusableInputs:
         wide = OrderStatModel(components=(Uniform01(scale=10.0),) * 3, k=2)
         with pytest.raises(ValueError, match="threshold t\\*q = inf at t="):
             verify_upper_tail(wide, 3.0, default_upper_t_grid(3.0, 641))
+
+    def test_four_families_at_the_smallest_scale_warn_of_nothing(self):
+        # Grid points divided by the scale overflow to inf, where every cdf is 1.
+        scale = 1e-308
+        m = OrderStatModel((Uniform01(scale=scale), Exponential(scale=scale), HalfGaussian(scale=scale),
+                            ParetoPower(p=2.0, scale=scale)), k=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            med = kmin_median(m)
+            report = verify_theorem(m, 3.0)
+        assert med / scale == pytest.approx(0.5992218605745995, rel=1e-9)
+        assert report.med == med and report.passed
+        assert report.ratio == pytest.approx(1.0007219521930446, rel=1e-9)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one(self, count):
