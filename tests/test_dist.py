@@ -136,9 +136,8 @@ class TestQuantile:
                 Uniform01().quantile(bad)
 
     def test_scalar_orders_give_the_array_bits(self):
-        # numpy's scalar ``**`` rounds differently from its array loop: for
-        # p != 1 a float order used to differ in the last bit for about 5%
-        # of orders.
+        # numpy's scalar ``**`` rounds differently from its array loop: at
+        # p != 1 it gives about 5% of orders another last bit.
         u = np.random.default_rng(21).random(2000)
         for d in (*ALL_FAMILIES, ParetoPower(p=3.0, scale=1.7)):
             assert [d.quantile(v) for v in u.tolist()] == d.quantile(u).tolist(), d
