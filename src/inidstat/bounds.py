@@ -30,6 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from ._record import Record, _Verdict
+from .dist import _real
 from .ostat import OrderStatModel, averaged_quantile, kmin_cdf, kmin_median, kmin_strict_cdf
 from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, _LN_RANGE, _check_K, _max_power, check_condition_batch
 
@@ -59,12 +60,12 @@ Q_CONVENTION = "left-quantile"
 
 def lower_tail_bound(t: float, K: float) -> float:
     """4 * t^(1/(4 ln K)), the lower-tail budget at threshold t*q."""
-    return 4.0 * float(t) ** (1.0 / (4.0 * math.log(K)))
+    return 4.0 * _real(t, "t", positive=True) ** (1.0 / (4.0 * math.log(_check_K(K))))
 
 
 def upper_tail_bound(t: float, K: float) -> float:
     """4 * t^(-1/(6 ln K)), the upper-tail budget at threshold t*q."""
-    return 4.0 * float(t) ** (-1.0 / (6.0 * math.log(K)))
+    return 4.0 * _real(t, "t", positive=True) ** (-1.0 / (6.0 * math.log(_check_K(K))))
 
 
 def _K_power(K: float, e: int) -> float:
@@ -200,7 +201,7 @@ def _tail_rows(model, K, t_grid, side) -> list[TailBoundRow]:
     cutoff = _K_power(K, -5 if side == "lower" else 5)
     if t_grid is None:
         t_grid = default_lower_t_grid(K) if side == "lower" else default_upper_t_grid(K)
-    ts = sorted(float(t) for t in t_grid)
+    ts = sorted(_real(t, "t") for t in t_grid)
     if not ts:
         raise ValueError("t_grid must hold at least one t")
     for t in ts:

@@ -302,6 +302,8 @@ class _TableLaw(Distribution):
         y_row = self._y_row([y for _, y in pairs])
         if xs[0] < 0 or not all(a < b for a, b in zip(xs, xs[1:])):
             raise ValueError(f"{self._pairs} must have nonnegative, strictly increasing abscissae")
+        if not math.isfinite(self.scale * xs[-1]):
+            raise ValueError(f"{self._pairs} scaled by {self.scale!r} pass the largest finite double")
         object.__setattr__(self, self._pairs, pairs)
         object.__setattr__(self, "_tables", _padded(len(xs), xs, y_row))
 
@@ -412,7 +414,7 @@ def left_quantile_bisect(
     their cdf values (an array of that shape, or one scalar for all).  The
     answer agrees with plain bisection within the stopping width.
     """
-    r = float(r)
+    r = _real(r, "quantile order")
     if not 0.0 <= r <= 1.0:
         raise ValueError("quantile order must lie in [0, 1]")
     if r == 0.0:

@@ -17,7 +17,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .dist import Distribution, MixtureCdf, _integer, left_quantile_bisect
+from .dist import Distribution, MixtureCdf, _integer, _real, left_quantile_bisect
 from .pbin import tail_at_least
 
 __all__ = [
@@ -93,7 +93,7 @@ def kmin_quantile(model: OrderStatModel, r) -> float:
 
     The median search starts from the guess ``averaged_quantile(model)``.
     """
-    r = float(r)
+    r = _real(r, "quantile order")
     if r == 1.0:
         # The k-th smallest is below t once at least k components are; its
         # essential sup is the k-th smallest of the component essential sups.

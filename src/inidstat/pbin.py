@@ -1,12 +1,13 @@
 """Exact law of the success count among independent heterogeneous Bernoulli trials.
 
 Given success probabilities p_1, ..., p_n (not necessarily equal), the count
-S = sum_i 1{trial i succeeds} has the Poisson binomial law.  ``pmf`` builds the
-full law by the O(n^2) convolution recurrence; ``tail_at_least`` computes the
-tail P{S >= k} in O(n * min(k, n - k + 1)) by truncating the recurrence to
-the counts of one kind of event, with a last row that absorbs the mass past
-them: successes below k, whose absorbed mass is the tail (when k is small),
-or failures up to n - k, whose survivors are summed (when k is close to n).
+S = sum_i 1{trial i succeeds} has the Poisson binomial law.  One pass builds
+every count law here.  ``tail_at_least`` computes P{S >= k} in
+O(n * min(k, n - k + 1)) by truncating it to the counts of one kind of
+event, with a last row that absorbs the mass past them: successes below k,
+whose absorbed mass is the tail (when k is small), or failures up to n - k,
+whose survivors are summed (when k is close to n).  ``pmf`` keeps all n + 1
+counts of failures, so nothing passes them.
 
 ``tail_at_least`` also takes a stack of vectors, an array of shape (..., n)
 with one vector of probabilities per threshold, and returns their tails
@@ -14,21 +15,23 @@ from one pass: the state holds one column per vector, so the number of
 numpy calls does not grow with the number T of vectors.  Every vector's
 tail equals the tail of that vector alone, bit for bit.
 
-A pass works on blocks of consecutive trials, b of them, with b set by n
+The pass works on blocks of consecutive trials, b of them, with b set by n
 alone: one block while n <= 32, about sqrt(n) above that.  The recurrence
-builds the count law of every block at once, three numpy calls per step
-for b steps, with one column per (vector, block) pair.  Each block's law is
-then folded into the truncated state by one matrix product over a sliding
-window of the state; on the absorbing side the counts that reach k or more
-go into the absorbed total.  That is about 3b + 3n/b numpy calls instead of
-3n.  Blocks are fixed by position, whatever the probabilities, and the
-failure probabilities 1 - p_i are formed once and passed as they are, so a
-tail computed from success probabilities near 1e-6 keeps its digits.  A
-sure trial (p_i = 0 or 1) inside a block is an exact identity or an exact
-shift of that block's law.  Every term of the pass is nonnegative, so each
-tail is relative-accurate: within n * 2**-53 of the exact tail of the same
-doubles, and for n <= 32, where the pass is the recurrence itself, bit for
-bit the one-trial-at-a-time recurrence.
+(``_count_laws``) builds the count law of every block at once, three numpy
+calls per step, with one column per (vector, block) pair.  ``_fold`` then
+folds each block's law into the state by one matrix product over a sliding
+window of it, for every n; on the absorbing side the counts that reach k or
+more go into the absorbed total.  That is about 3b + 3n/b numpy calls
+instead of 3n.  Blocks are fixed by position, whatever the probabilities,
+and the failure probabilities 1 - p_i are formed once and passed as they
+are, so a tail computed from success probabilities near 1e-6 keeps its
+digits.  A sure trial (p_i = 0 or 1) inside a block is an exact identity or
+an exact shift of that block's law.  Every term of the pass is nonnegative,
+so each tail, and each entry of ``pmf`` above the underflow range, is within
+n * 2**-53 of the exact value for the same doubles.  For n <= 32 the fold of
+the one block returns its law exactly, every other term of the window being
+an exact zero, so the result is bit for bit the one-trial-at-a-time
+recurrence.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dist import _integer
+from .dist import _integer, _real
 
 __all__ = [
     "SuccessVector",
@@ -64,7 +67,10 @@ class SuccessVector:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _checked(np.array(self.p, dtype=float, copy=True).ravel())
+        arr = np.array(self.p, dtype=float, copy=True, ndmin=1)
+        if arr.ndim > 1:
+            raise ValueError(f"a SuccessVector holds one vector of probabilities, got shape {arr.shape}")
+        arr = _checked(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -103,24 +109,14 @@ def _check_rank(k, n: int) -> int:
 
 
 def pmf(sv: SuccessLike) -> np.ndarray:
-    """Full law of S as an array of length n + 1 indexed by the count."""
-    sv = _coerce(sv)
-    n = sv.n
-    out = np.zeros(n + 1)
-    out[0] = 1.0
-    for i, pi in enumerate(sv.p):
-        shifted = out[: i + 1] * pi
-        out[: i + 2] *= 1.0 - pi
-        out[1 : i + 2] += shifted
-    return out
+    """Full law of S as an array of length n + 1 indexed by the count, from the pass."""
+    p = _coerce(sv).p[None]
+    counts, _ = _pass(p, 1.0 - p, p.shape[1] + 1, absorbing=False)
+    return counts[0]
 
 
 def tail_at_least(sv: SuccessLike, k):
-    """P{S >= k} without building the full law.
-
-    Runs the convolution recurrence over a state vector truncated to
-    min(k, n - k + 1) entries, so scanning every k for one fixed vector
-    costs O(n^2) overall instead of O(n^2) per tail.
+    """P{S >= k} by a pass over min(k, n - k + 1) counts, without building the full law.
 
     ``sv`` is a ``SuccessVector``, a sequence, or an array of shape (..., n):
     a stack of vectors of n probabilities each.  The result has shape (...),
@@ -128,10 +124,7 @@ def tail_at_least(sv: SuccessLike, k):
     float for a single vector; a scalar is a one-trial vector.  ``k`` is an
     integer in [0, n + 1] (numpy integers are, bools are not).
 
-    The vectors share one blocked pass (see the module docstring): the count
-    laws of blocks of about sqrt(n) trials, built side by side, then one
-    matrix product per block, for all T vectors at once.  A pass over at
-    most 32 trials is one block, the recurrence itself.  Every tail is
+    The vectors share one pass (see the module docstring).  Every tail is
     relative-accurate, exact zeros included.
     """
     p = sv.p if isinstance(sv, SuccessVector) else _checked(np.atleast_1d(np.asarray(sv, dtype=float)))
@@ -149,22 +142,32 @@ def tail_at_least(sv: SuccessLike, k):
 
 
 def _truncated_tails(probs: np.ndarray, k: int) -> np.ndarray:
-    """P{S >= k} for each row of ``probs``, 1 <= k <= n, by the blocked pass.
+    """P{S >= k} for each row of ``probs``, 1 <= k <= n, by the pass.
 
     On the absorbing side (k <= n + 1 - k) the state counts successes
     0..k-1 and the mass that reaches k is the tail; on the dual side it
     counts failures 0..n-k and the mass that stays within them is the tail.
-    The trials are cut by position into blocks of ``width``; each block's
-    law is built by the recurrence, up to the state's size, and folded into
-    the state in turn.  Blocks never depend on the probabilities, so every
-    row's tail is the same alone as in any stack.
     """
-    rows, n = probs.shape
+    n = probs.shape[1]
     absorbing = k <= n + 1 - k
     # The failure probabilities are formed once; on the dual side the
     # success probabilities stay as given rather than as 1 - (1 - p).
     fail = 1.0 - probs
     size, up, stay = (k, probs, fail) if absorbing else (n - k + 1, fail, probs)
+    counts, past = _pass(up, stay, size, absorbing)
+    return np.minimum(past if absorbing else counts.sum(axis=1), 1.0)
+
+
+def _pass(up: np.ndarray, stay: np.ndarray, size: int, absorbing: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``_fold``'s (counts, past) after all trials, for each row of ``up`` and ``stay``.
+
+    Trial i of row r moves a count up with probability up[r, i] and keeps
+    it with stay[r, i].  The trials are cut by position into blocks of
+    ``width``; each block's law is built up to the state's size and folded
+    into the state in turn.  Blocks never depend on the probabilities, so
+    every row's result is the same alone as in any stack.
+    """
+    rows, n = up.shape
     width = n if n <= _ONE_BLOCK else math.isqrt(n - 1) + 1
     blocks = -(-n // width)
     span = min(width, size)
@@ -176,14 +179,7 @@ def _truncated_tails(probs: np.ndarray, k: int) -> np.ndarray:
     steps[1, :n] = stay.T
     steps = steps.reshape(2, blocks, width, rows).transpose(0, 2, 1, 3).reshape(2, width, blocks * rows)
     laws = _count_laws(steps[0], steps[1], span)
-    if blocks == 1:
-        # The law of the one block is the state: counts 0..size-1, then the
-        # mass past them.  Each row's counts are summed along a contiguous
-        # row, pairwise, as a one-dimensional sum would.
-        counts, past = laws[:size].T.copy(), laws[size]
-    else:
-        counts, past = _fold(laws.T.reshape(blocks, rows, span + 1), size, absorbing)
-    return np.minimum(past if absorbing else counts.sum(axis=1), 1.0)
+    return _fold(laws.T.reshape(blocks, rows, span + 1), size, absorbing)
 
 
 def _count_laws(up: np.ndarray, stay: np.ndarray, size: int) -> np.ndarray:
@@ -263,7 +259,7 @@ def chebyshev_bound_gap(sv: SuccessLike, t) -> ChebyshevGap:
     than the usual variance form but needs only the p_i.
     """
     sv = _coerce(sv)
-    t = float(t)
+    t = _real(t, "threshold t")
     if not t > 0:
         raise ValueError(f"threshold t must be positive, got {t!r}")
     law = pmf(sv)

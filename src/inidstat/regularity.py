@@ -359,10 +359,10 @@ def find_min_K(
     Returns the passing end of the final bracket, so the reported K always
     certifies.  Raises ValueError when even the top of the range fails.
     """
-    lo, hi = float(K_range[0]), float(K_range[1])
+    lo, hi = _real(K_range[0], "K_range[0]"), _real(K_range[1], "K_range[1]")
     if not (1.0 < lo < hi):
         raise ValueError(f"K_range must satisfy 1 < K_lo < K_hi, got {K_range!r}")
-    tol = float(tol)
+    tol = _real(tol, "tol")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 

@@ -24,7 +24,8 @@ from inidstat.bounds import (
     verify_upper_tail,
 )
 from inidstat.dist import Atomic, Exponential, HalfGaussian, MixtureCdf, ParetoPower, Uniform01
-from inidstat.ostat import OrderStatModel, averaged_quantile, kmin_median
+from inidstat.ostat import OrderStatModel, averaged_quantile, kmin_median, kmin_quantile
+from inidstat.pbin import chebyshev_bound_gap
 from inidstat.regularity import DEFAULT_GRID, GridSpec, check_condition, check_condition_batch
 
 
@@ -177,10 +178,43 @@ class TestVerdictRules:
         assert not hasattr(bounds, "sandwich_verdict") and not hasattr(bounds, "tail_row")
 
 
+M3 = OrderStatModel(components=(Uniform01(),) * 3, k=2)
+
+# Each scalar that the number rule reads, as a call of one value.
+SCALAR_INPUTS = {
+    "find_min_K-K_lo": lambda v: regularity.find_min_K(Uniform01(), K_range=(v, 8.0)),
+    "find_min_K-K_hi": lambda v: regularity.find_min_K(Uniform01(), K_range=(1.5, v)),
+    "find_min_K-tol": lambda v: regularity.find_min_K(Uniform01(), tol=v),
+    "kmin_quantile-r": lambda v: kmin_quantile(M3, v),
+    "left_quantile_bisect-r": lambda v: dist.left_quantile_bisect(Uniform01().cdf, v),
+    "verify_lower_tail-t": lambda v: verify_lower_tail(M3, 3.0, [1e-3, v]),
+    "verify_upper_tail-t": lambda v: verify_upper_tail(M3, 3.0, [300.0, v]),
+    "chebyshev_bound_gap-t": lambda v: chebyshev_bound_gap([0.5, 0.5], v),
+    "lower_tail_bound-t": lambda v: lower_tail_bound(v, 3.0),
+    "lower_tail_bound-K": lambda v: lower_tail_bound(0.5, v),
+    "upper_tail_bound-t": lambda v: upper_tail_bound(v, 3.0),
+    "upper_tail_bound-K": lambda v: upper_tail_bound(300.0, v),
+}
+# Strings of t inside the tail grids' ranges, and t <= 0 and K <= 1 for the bounds.
+MORE_BAD = [("verify_lower_tail-t", "1e-3"), ("verify_upper_tail-t", "300")]
+MORE_BAD += [(name, bad) for name in ("lower_tail_bound-t", "upper_tail_bound-t") for bad in (0.0, -1.0)]
+MORE_BAD += [(name, bad) for name in ("lower_tail_bound-K", "upper_tail_bound-K") for bad in (1.0, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [(name, bad) for name in SCALAR_INPUTS for bad in (True, "0.5", math.nan)] + MORE_BAD,
+    ids=lambda v: v if isinstance(v, str) and v in SCALAR_INPUTS else repr(v),
+)
+def test_scalars_follow_the_number_rule(name, bad):
+    with pytest.raises(ValueError):
+        SCALAR_INPUTS[name](bad)
+
+
 class TestUnusableInputs:
     """Inputs that would overflow, underflow or check nothing raise ValueError."""
 
-    M = OrderStatModel(components=(Uniform01(),) * 3, k=2)
+    M = M3
 
     def test_sandwich_power_overflow(self):
         with pytest.raises(ValueError, match="K\\^13 .* K must be at most"):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -26,6 +27,14 @@ from inidstat.regularity import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(argv):
+    """``argv`` in a child process that imports the package from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 # Each subcommand with its exit code, on Uniform01 and table laws only, whose
 # values are plain arithmetic; "{uniform3}" stands for the uniform3_spec file.
@@ -69,7 +78,7 @@ def exp2_spec(tmp_path):
 def _scipy_after(code):
     """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
     code += "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _run([sys.executable, "-c", code])
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -352,7 +361,10 @@ class TestExitCodes:
          "--count"),
         (["oracle", "--trials", "0"], "--trials must be at least 1"),
         (["check-condition", "--family", "exponential", "--p", "2", "--K", "2"], "allowed: ('rate',)"),
-    ], ids=["huge-K", "grid-underflow", "count-0", "count-negative", "count-with-t", "trials-0", "foreign-flag"])
+        (["check-condition", "--family", "atomic", "--atoms", "[[1,0.5],[2,0.5]]", "--scale", "1e308", "--K", "2"],
+         "pass the largest finite double"),
+    ], ids=["huge-K", "grid-underflow", "count-0", "count-negative", "count-with-t", "trials-0", "foreign-flag",
+            "table-overflow"])
     def test_unusable_inputs_are_two(self, capsys, uniform3_spec, argv, message):
         argv = [a.format(u3=uniform3_spec) for a in argv]
         assert cli.main(argv) == 2
@@ -431,7 +443,7 @@ class TestInstalledEntryPoints:
     def test_import_leaves_out_scipy_stats(self):
         # scipy.stats would be the largest single cost of every cold start.
         code = "import inidstat.cli, sys; sys.exit('scipy.stats' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = _run([sys.executable, "-c", code])
         assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_out_scipy(self):
@@ -464,12 +476,7 @@ class TestInstalledEntryPoints:
         assert "scipy.special" in _scipy_after(code)
 
     def test_module_invocation(self, uniform3_spec):
-        proc = subprocess.run(
-            [sys.executable, "-m", "inidstat", "median", "--model", uniform3_spec,
-             "--format", "csv"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run([sys.executable, "-m", "inidstat", "median", "--model", uniform3_spec, "--format", "csv"])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "n,k,median"
 

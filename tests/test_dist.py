@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -647,6 +648,19 @@ class TestValidation:
             Exponential(rate=bad)
         with pytest.raises(ValueError, match="scale factor must be a finite positive real"):
             Atomic().scaled(bad)
+
+    def test_scaled_atoms_and_knots_stay_finite(self):
+        atoms, knots = ((1.0, 0.5), (2.0, 0.5)), ((0.0, 0.0), (2.0, 1.0))
+        for build in (
+            lambda: Atomic(atoms=atoms, scale=1e308),
+            lambda: PiecewiseLinearCdf(knots=knots, scale=1e308),
+            lambda: Atomic(atoms=atoms).scaled(1e308),
+            lambda: PiecewiseLinearCdf(knots=knots).scaled(1e308),
+        ):
+            with pytest.raises(ValueError, match="pass the largest finite double"):
+                build()
+        top = sys.float_info.max
+        assert Atomic(atoms=((0.5, 0.5), (1.0, 0.5)), scale=top).special_points() == (top / 2, top)
 
     def test_scaled_refuses_a_factor_that_is_not_positive(self):
         for bad in (0.0, -2.0):

@@ -18,9 +18,10 @@ from inidstat.pbin import (
 def assert_matches_reference(got, probs, k):
     """``got`` against the one-trial-at-a-time recurrence on each row of ``probs``.
 
-    Bit for bit for n <= 32, where the pass is that recurrence; above, the
-    blocked pass sums in another order, and each tail agrees to within
-    n * 2**-53 relative (absolute below 1e-300), exact zeros equal.
+    Bit for bit for n <= 32, where the pass is one block that keeps those
+    bits; above, the blocked pass sums in another order, and each tail
+    agrees to within n * 2**-53 relative (absolute below 1e-300), exact
+    zeros equal.
     """
     n = probs.shape[-1]
     want = [sequential_engine.tail_at_least(row, k) for row in probs]
@@ -55,6 +56,17 @@ def exact_tail(p, k) -> Fraction:
     return Fraction(past if absorbing else sum(state), 1 << (e * n))
 
 
+def exact_law(p) -> list[Fraction]:
+    """The law that ``pmf`` rounds, in exact rational arithmetic, scaled as in ``exact_tail``."""
+    pairs = [(Fraction(float(x)), Fraction(1.0 - float(x))) for x in p]
+    e = max(v.denominator.bit_length() - 1 for pair in pairs for v in pair)
+    law = [1]
+    for succ, fail in pairs:
+        up, stay = int(succ * 2**e), int(fail * 2**e)
+        law = [a * stay + b * up for a, b in zip(law + [0], [0] + law)]
+    return [Fraction(c, 1 << (e * len(pairs))) for c in law]
+
+
 def assert_relative_to_exact(got, probs, k):
     # Relative error of at most n * 2**-53 against the exact tail, per row.
     n = probs.shape[-1]
@@ -76,6 +88,8 @@ class TestSuccessVector:
             SuccessVector([-0.1])
         with pytest.raises(ValueError):
             SuccessVector([np.nan])
+        with pytest.raises(ValueError, match="one vector"):
+            SuccessVector(np.full((2, 3), 0.5))
 
     def test_probabilities_are_frozen(self):
         sv = SuccessVector([0.5, 0.5])
@@ -100,6 +114,16 @@ class TestPmf:
             law = pmf(rng.random(int(rng.integers(1, 60))))
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(law >= 0.0)
+
+    @pytest.mark.parametrize("n", [33, 64, 100])
+    def test_relative_to_exact_law(self, n):
+        # Within n * 2**-53 of the exact law of the same doubles, entry by
+        # entry; below 1e-290 the pass meets subnormal terms, so absolute.
+        p = np.random.default_rng(n).random(n)
+        for probs in (p, p**12, 1.0 - p**12):
+            for c, (got, want) in enumerate(zip(pmf(probs), exact_law(probs))):
+                err = abs(Fraction(float(got)) - want)
+                assert err <= n * Fraction(2) ** -53 * max(want, Fraction(1e-290)), (c, got, float(want))
 
     def test_degenerate_trials(self):
         assert pmf([1.0, 1.0]) == pytest.approx([0.0, 0.0, 1.0], abs=0.0)
