@@ -21,7 +21,6 @@ from .dist import (
 from .ostat import (
     OrderStatModel,
     averaged_quantile,
-    kmax_cdf,
     kmin_cdf,
     kmin_median,
     kmin_quantile,
@@ -67,7 +66,6 @@ __all__ = [
     "Uniform01",
     "OrderStatModel",
     "averaged_quantile",
-    "kmax_cdf",
     "kmin_cdf",
     "kmin_median",
     "kmin_quantile",

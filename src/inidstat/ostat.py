@@ -26,7 +26,6 @@ __all__ = [
     "kmin_strict_cdf",
     "kmin_quantile",
     "kmin_median",
-    "kmax_cdf",
     "averaged_quantile",
 ]
 
@@ -106,11 +105,6 @@ def kmin_quantile(model: OrderStatModel, r) -> float:
 def kmin_median(model: OrderStatModel) -> float:
     """The canonical (smallest) median of the k-th smallest."""
     return kmin_quantile(model, 0.5)
-
-
-def kmax_cdf(model: OrderStatModel, t):
-    """P{ k-th largest <= t }; the k-th largest is the (n-k+1)-th smallest."""
-    return _count_tail(model.mixture, model.n - model.k + 1, t)
 
 
 def averaged_quantile(model: OrderStatModel) -> float:

@@ -9,8 +9,10 @@ which is numerically total (no 1/0 special cases) and equivalent.  A passing
 certificate is necessary evidence on finitely many grid points, not a proof
 for all t > 0; every certificate carries that caveat.
 
-Every verdict here, the growth lemma's included, comes from ``_assemble``,
-which judges each law's worst margin lhs - rhs by the one rule ``_holds``.
+Each form is a second point u(t) and its sides (``_FORMS``, and the growth
+lemma's).  The one evaluator, ``_evaluate``, gives F(t) and F(u(t)) by blocks of
+laws: a law with atoms or knots alone on its own grid, the plain laws together.
+The one judge, ``_assemble``, rules on each law's worst margin by ``_holds``.
 """
 
 from __future__ import annotations
@@ -85,10 +87,10 @@ class GridSpec(Record):
         """
         pts = [self.points()]
         for s in d.special_points():
-            trio = np.array([np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)])
-            pts.append(trio[trio > 0.0])
-        merged = np.unique(np.concatenate(pts))
-        return merged[merged > 0.0]
+            # Past the largest double math.nextafter gives inf, with no warning; it is dropped.
+            trio = np.array([math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)])
+            pts.append(trio[(trio > 0.0) & (trio < math.inf)])
+        return np.unique(np.concatenate(pts))
 
 
 DEFAULT_GRID = GridSpec()
@@ -138,37 +140,58 @@ def _holds(margin):
     return margin >= -MARGIN_TOL
 
 
-def _assemble(
-    check: str,
-    K: float,
-    grid_spec: GridSpec,
-    t: np.ndarray,
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    n_points: int,
-) -> list[RegularityCertificate]:
+def _assemble(check: str, K: float, grid_spec: GridSpec, t, lhs, rhs, applicable=None) -> list[RegularityCertificate]:
     # One certificate per row of the (laws, points) arrays lhs and rhs, each
-    # judged on its worst margin over the points t.
-    if lhs.shape[1] == 0:
-        # Nothing applicable: vacuously true.
-        return [RegularityCertificate(check, K, grid_spec, n_points, math.inf, "pass", None)] * lhs.shape[0]
-    margin = lhs - rhs
+    # judged on its worst margin over the points t where ``applicable`` holds
+    # (all of them if None); a row with no such point passes with margin inf.
+    margin = lhs - rhs if applicable is None else np.where(applicable, lhs - rhs, math.inf)
     at = margin.argmin(axis=1)
     certs = []
     for j, (i, worst) in enumerate(zip(at.tolist(), margin[np.arange(at.size), at].tolist())):
-        if _holds(worst):
-            certs.append(RegularityCertificate(check, K, grid_spec, n_points, worst, "pass", None))
-        else:
-            witness = (float(t[i]), float(lhs[j, i]), float(rhs[j, i]))
-            certs.append(RegularityCertificate(check, K, grid_spec, n_points, worst, "fail", witness))
+        witness = None if _holds(worst) else (float(t[i]), float(lhs[j, i]), float(rhs[j, i]))
+        certs.append(RegularityCertificate(check, K, grid_spec, t.size, worst, "fail" if witness else "pass", witness))
     return certs
 
 
+def _evaluate(laws: tuple[Distribution, ...], grid_spec: GridSpec):
+    """Yield (t, at) per job of ``laws``; ``at(*points)`` yields (indices, F(u(t)) for each u) by blocks.
+
+    The one evaluator of every form.  A law with atoms or knots is a job
+    alone, on its own grid; the laws without share the plain grid as one job.
+    ``at`` takes functions u of the grid t (``_same`` for F(t)) and runs the
+    job's ``MixtureCdf.family_blocks`` once per u; ``indices`` index ``laws``.
+    """
+    special = [bool(d.special_points()) for d in laws]
+    plain = [i for i, s in enumerate(special) if not s]
+    for job in [[i] for i, s in enumerate(special) if s] + ([plain] if plain else []):
+        # The grid is built when its job runs, so only one is held at a time.
+        t = grid_spec.points_for(laws[job[0]])
+
+        def at(*points, t=t, mixture=MixtureCdf(tuple(laws[i] for i in job)), job=np.array(job)):
+            # u(t) may overflow to inf, where every cdf formula gives its right limit 1: no warning is due.
+            with np.errstate(over="ignore"):
+                xs = [u(t) for u in points]
+            for blocks in zip(*map(mixture.family_blocks, xs)):
+                yield (job[blocks[0][0]], *(values for _, values in blocks))
+
+        yield t, at
+
+
+def _same(t):
+    return t
+
+
+# Each form by name: its second point u(t) at K, and its sides (lhs, rhs, and
+# the mask of the points where it applies, None for all) from F(t) and F(u(t)).
+_FORMS = {
+    "condition": (lambda K: lambda t: K * t, lambda ft, fu: (fu * (1.0 - ft), 2.0 * ft * (1.0 - fu), None)),
+    "measure-form": (lambda K: lambda t: K * t, lambda ft, fu: (fu - ft, ft * (1.0 - fu), None)),
+    "weak-condition": (lambda K: lambda t: t / (K * K), lambda ft, fu: (ft, 2.0 * fu, ft <= 0.5)),
+}
+
+
 def pointwise_margins(
-    d: Distribution,
-    K,
-    grid_spec: GridSpec = DEFAULT_GRID,
-    form: str = "condition",
+    d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID, form: str = "condition"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """(t, lhs, rhs, n_grid) of the chosen inequality at each applicable point.
 
@@ -176,25 +199,8 @@ def pointwise_margins(
     "measure-form" compares F(Kt)-F(t) with F(t)*(1-F(Kt)); "weak-condition"
     compares F(t) with 2*F(t/K^2) restricted to points where F(t) <= 1/2.
     """
-    K = _check_K(K)
-    t = grid_spec.points_for(d)
-    ft = np.asarray(d.cdf(t))
-    if form == "condition":
-        return (t, *_condition_sides(ft, np.asarray(d.cdf(K * t))), t.size)
-    if form == "measure-form":
-        fkt = np.asarray(d.cdf(K * t))
-        return t, fkt - ft, ft * (1.0 - fkt), t.size
-    if form == "weak-condition":
-        applicable = ft <= 0.5
-        ta = t[applicable]
-        rhs = 2.0 * np.asarray(d.cdf(ta / (K * K)))
-        return ta, ft[applicable], rhs, t.size
-    raise ValueError(f"unknown inequality form {form!r}")
-
-
-def _condition_sides(ft: np.ndarray, fkt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # F(Kt)*(1-F(t)) and 2*F(t)*(1-F(Kt)), elementwise.
-    return fkt * (1.0 - ft), 2.0 * ft * (1.0 - fkt)
+    cert, *arrays = _pointwise_certificate(d, K, grid_spec, form)
+    return (*arrays, cert.n_points)
 
 
 def check_condition(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -> RegularityCertificate:
@@ -207,32 +213,24 @@ def check_condition_batch(
 ) -> tuple[RegularityCertificate, ...]:
     """``check_condition`` for each law, in order; repeats share one certificate object.
 
-    Laws without atoms or knots share the plain grid and are evaluated in
-    the runs of ``MixtureCdf.family_blocks``: one call of the block's cdf
-    formula, the code ``d.cdf`` runs, on a run of its stacked args at t and
-    one at K*t, and one subtraction and one argmin over the run's rows for
-    the margins, worst points and certificates.  A law with atoms or knots
-    is checked on its own grid, as a block of one.  Each distinct law is
-    certified once, with the certificate it gets alone, and the working
+    Each distinct law is certified once, with the certificate it gets alone,
+    through the one evaluator ``_evaluate``.  Laws without atoms or knots share
+    the plain grid: per run of a family block, one cdf formula call at t and
+    one at K*t, then one subtraction and one argmin over the run's rows.  A
+    law with atoms or knots is a job of its own, on its own grid.  The working
     memory stays near a few runs whatever the number of laws.
     """
     K = _check_K(K)
     laws = tuple(laws)
     distinct = tuple(dict.fromkeys(laws))
-    jobs = [[i] for i, d in enumerate(distinct) if d.special_points()]
-    if plain := [i for i, d in enumerate(distinct) if not d.special_points()]:
-        jobs.append(plain)
-    certs: list = [None] * len(distinct)
-    for idx in jobs:
-        # The grid is built when its job runs, so only one is held at a time.
-        t = grid_spec.points_for(distinct[idx[0]])
-        mixture = MixtureCdf(tuple(distinct[i] for i in idx))
-        for (rows, ft), (_, fkt) in zip(mixture.family_blocks(t), mixture.family_blocks(K * t)):
-            lhs, rhs = _condition_sides(ft, fkt)
-            for j, cert in zip(rows.tolist(), _assemble("condition", K, grid_spec, t, lhs, rhs, t.size)):
-                certs[idx[j]] = cert
-    shared = dict(zip(distinct, certs))
-    return tuple(shared[d] for d in laws)
+    condition, sides = _FORMS["condition"]
+    certs = {}
+    for t, at in _evaluate(distinct, grid_spec):
+        for rows, ft, fkt in at(_same, condition(K)):
+            lhs, rhs, _ = sides(ft, fkt)
+            for j, cert in zip(rows.tolist(), _assemble("condition", K, grid_spec, t, lhs, rhs)):
+                certs[distinct[j]] = cert
+    return tuple(certs[d] for d in laws)
 
 
 def check_measure_form(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID) -> RegularityCertificate:
@@ -250,9 +248,16 @@ def check_weak_condition(d: Distribution, K, grid_spec: GridSpec = DEFAULT_GRID)
 
 
 def _pointwise_certificate(d: Distribution, K, grid_spec: GridSpec, form: str):
-    # The certificate of one law in one form, with the (t, lhs, rhs) arrays it judged.
-    t, lhs, rhs, n = pointwise_margins(d, K, grid_spec, form)
-    return _assemble(form, float(K), grid_spec, t, lhs[None], rhs[None], n)[0], t, lhs, rhs
+    # One law's certificate in one form, with the (t, lhs, rhs) arrays where the form applies.
+    K = _check_K(K)
+    if form not in _FORMS:
+        raise ValueError(f"unknown inequality form {form!r}")
+    second, sides = _FORMS[form]
+    [(t, at)] = _evaluate((d,), grid_spec)
+    [(_, ft, fu)] = at(_same, second(K))
+    lhs, rhs, applicable = sides(ft, fu)
+    keep = slice(None) if applicable is None else applicable[0]
+    return _assemble(form, K, grid_spec, t, lhs, rhs, applicable)[0], t[keep], lhs[0, keep], rhs[0, keep]
 
 
 @dataclass(frozen=True)
@@ -279,11 +284,7 @@ class GrowthLemmaReport(Record, _Verdict):
 
 
 def check_lemma_growth(
-    d: Distribution,
-    K,
-    ell: int,
-    gamma: float,
-    grid_spec: GridSpec = DEFAULT_GRID,
+    d: Distribution, K, ell: int, gamma: float, grid_spec: GridSpec = DEFAULT_GRID
 ) -> GrowthLemmaReport:
     """Certify the iterated consequences of the condition at step count ell.
 
@@ -300,24 +301,21 @@ def check_lemma_growth(
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma!r}")
 
-    pre = check_condition(d, K, grid_spec)
+    # One evaluation at t, K*t and t/K^ell judges the precondition, growth and survival.
+    [(t, at)] = _evaluate((d,), grid_spec)
+    condition, sides = _FORMS["condition"]
+    [(_, ft, fkt, ftl)] = at(_same, condition(K), lambda t: t / K**ell)
+    pre = _assemble("condition", K, grid_spec, t, *sides(ft, fkt))[0]
     if not pre.passed:
         raise RegularityPreconditionError(
-            f"growth check needs the condition to hold at K={K:g}; "
-            f"it fails on the grid with margin {pre.margin:.3e}",
+            f"growth check needs the condition to hold at K={K:g}; it fails on the grid with margin {pre.margin:.3e}",
             pre,
         )
 
-    t = grid_spec.points_for(d)
-    ft = np.asarray(d.cdf(t))
-    ftl = np.asarray(d.cdf(t / K**ell))
     pow2 = 2.0**ell
     applicable = ft >= 1.0 - gamma
-    growth = _assemble("growth", K, grid_spec, t, ft[None], (pow2 * (1.0 - ft) * ftl)[None], t.size)[0]
-    survival = _assemble(
-        "survival", K, grid_spec, t[applicable], 1.0 - ftl[applicable][None],
-        ((pow2 / (pow2 * gamma + 1.0)) * (1.0 - ft[applicable]))[None], t.size,
-    )[0]
+    [growth] = _assemble("growth", K, grid_spec, t, ft, pow2 * (1.0 - ft) * ftl)
+    [survival] = _assemble("survival", K, grid_spec, t, 1.0 - ftl, pow2 / (pow2 * gamma + 1.0) * (1.0 - ft), applicable)
     return GrowthLemmaReport(
         K=K,
         ell=ell,
@@ -349,38 +347,40 @@ class MinKResult(Record):
 
 
 def find_min_K(
-    d: Distribution,
-    grid_spec: GridSpec = DEFAULT_GRID,
-    K_range: tuple[float, float] = (1.01, 8.0),
-    tol: float = 1e-3,
+    d: Distribution, grid_spec: GridSpec = DEFAULT_GRID, K_range: tuple[float, float] = (1.01, 8.0), tol: float = 1e-3
 ) -> MinKResult:
     """Bisect for the smallest K in K_range whose condition check passes.
 
     Returns the passing end of the final bracket, so the reported K always
     certifies.  Raises ValueError when even the top of the range fails.
     """
-    lo, hi = _real(K_range[0], "K_range[0]"), _real(K_range[1], "K_range[1]")
+    try:
+        lo, hi = K_range
+    except (TypeError, ValueError):
+        raise ValueError(f"K_range must be two numbers (K_lo, K_hi), got {K_range!r}") from None
+    lo, hi = _real(lo, "K_range[0]"), _real(hi, "K_range[1]")
     if not (1.0 < lo < hi):
         raise ValueError(f"K_range must satisfy 1 < K_lo < K_hi, got {K_range!r}")
     tol = _real(tol, "tol")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
+    # F(t) does not depend on K: it is evaluated once, and F(K*t) once per K tried.
+    [(t, at)] = _evaluate((d,), grid_spec)
+    [(_, ft)] = at(_same)
+    condition, sides = _FORMS["condition"]
+
     def passes(K: float) -> bool:
-        return check_condition(d, K, grid_spec).passed
+        [(_, fkt)] = at(condition(K))
+        return _assemble("condition", K, grid_spec, t, *sides(ft, fkt))[0].passed
 
     if passes(lo):
         return MinKResult(K=lo, bracket=(lo, lo), grid_spec=grid_spec)
     if not passes(hi):
-        raise ValueError(
-            f"not found in range: no K in ({lo:g}, {hi:g}] passes the condition on the grid"
-        )
+        raise ValueError(f"not found in range: no K in ({lo:g}, {hi:g}] passes the condition on the grid")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
     return MinKResult(K=hi, bracket=(lo, hi), grid_spec=grid_spec)

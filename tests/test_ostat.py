@@ -18,7 +18,6 @@ from inidstat.dist import (
 from inidstat.ostat import (
     OrderStatModel,
     averaged_quantile,
-    kmax_cdf,
     kmin_cdf,
     kmin_median,
     kmin_quantile,
@@ -140,23 +139,13 @@ class TestBridgeIdentity:
 
 
 class TestDuality:
-    def test_kmax_equals_flipped_rank(self):
-        m = mixed_model()
-        ts = np.array([0.1, 0.25, 0.5, 1.25, 1.5, 3.0])
-        for k in range(1, m.n + 1):
-            mk = m.with_rank(k)
-            flipped = m.with_rank(m.n - k + 1)
-            for t in ts:
-                assert kmax_cdf(mk, float(t)) == kmin_cdf(flipped, float(t))
-            assert kmax_cdf(mk, ts).tolist() == kmin_cdf(flipped, ts).tolist()
-
     def test_kmax_example(self):
-        # Larger of two uniforms: P{max <= 1/2} = 1/4.
-        m = OrderStatModel(components=(Uniform01(), Uniform01()), k=1)
-        assert kmax_cdf(m, 0.5) == pytest.approx(0.25, rel=1e-15)
-        # k = 2 means the second largest, i.e. the minimum: 3/4.
-        m2 = m.with_rank(2)
-        assert kmax_cdf(m2, 0.5) == pytest.approx(0.75, rel=1e-15)
+        # The k-th largest of n is the (n - k + 1)-th smallest.  Largest of
+        # two uniforms (k = 1, rank 2): P{max <= 1/2} = 1/4.
+        m = OrderStatModel(components=(Uniform01(), Uniform01()), k=2)
+        assert kmin_cdf(m, 0.5) == pytest.approx(0.25, rel=1e-15)
+        # The second largest (k = 2, rank 1) is the minimum: 3/4.
+        assert kmin_cdf(m.with_rank(1), 0.5) == pytest.approx(0.75, rel=1e-15)
 
 
 class TestIidReduction:

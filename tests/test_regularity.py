@@ -1,11 +1,15 @@
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import CATALOGUE
-from inidstat.dist import Atomic, Exponential, ParetoPower, PiecewiseLinearCdf, Uniform01
+import sequential_engine
+from conftest import CATALOGUE, sweep_laws
+from inidstat import regularity
+from inidstat.dist import Atomic, Exponential, MixtureCdf, ParetoPower, PiecewiseLinearCdf, Uniform01
 from inidstat.regularity import (
     DEFAULT_GRID,
     GRID_NOTE,
@@ -16,6 +20,7 @@ from inidstat.regularity import (
     RegularityCertificate,
     RegularityPreconditionError,
     check_condition,
+    check_condition_batch,
     check_lemma_growth,
     check_measure_form,
     check_weak_condition,
@@ -280,6 +285,10 @@ class TestMinK:
     def test_k_range_validation(self):
         with pytest.raises(ValueError):
             find_min_K(Uniform01(), K_range=(0.9, 8.0))
+        # K_range is exactly two numbers: no third is ignored.
+        for bad in ((1.5, 8.0, 0.5), (1.5,), 1.5, ()):
+            with pytest.raises(ValueError, match="K_range"):
+                find_min_K(Uniform01(), K_range=bad)
         with pytest.raises(ValueError):
             find_min_K(Uniform01(), tol=0.0)
 
@@ -309,3 +318,115 @@ class TestSerialization:
         res = find_min_K(ParetoPower(p=1.0))
         again = MinKResult.from_dict(json.loads(json.dumps(res.to_dict())))
         assert again == res
+
+
+FORMS = ("condition", "measure-form", "weak-condition")
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestOneEvaluator:
+    """Every form, through the one evaluator, equals its per-law d.cdf reference."""
+
+    LAWS = (
+        *(d for d, _ in CATALOGUE),
+        *dict.fromkeys(sweep_laws(np.random.default_rng(47), 40)),
+        Atomic(((0.0, 1e-13), (1.0, 1.0 - 1e-13))),
+        Exponential(scale=1e20),
+        Exponential(scale=1e-20),
+    )
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(1e-3, 1e3, 5)], ids=["default", "coarse"])
+    def test_every_form_equals_the_per_law_reference(self, grid):
+        assert any(isinstance(d, PiecewiseLinearCdf) for d in self.LAWS)
+        verdicts, raised = set(), 0
+        for K in (2.0**0.25, 1.5, 2.0, 3.0):
+            for d in self.LAWS:
+                for got, want in (
+                    (check_condition(d, K, grid), sequential_engine.condition_certificate(d, K, grid)),
+                    (check_measure_form(d, K, grid), sequential_engine.measure_form_certificate(d, K, grid)),
+                    (check_weak_condition(d, K, grid), sequential_engine.weak_condition_certificate(d, K, grid)),
+                ):
+                    assert repr(got) == repr(want)
+                    verdicts.add(got.verdict)
+                for form in FORMS:
+                    got = pointwise_margins(d, K, grid, form)
+                    want = sequential_engine.form_sides(d, K, grid, form)
+                    assert [_bits(a) for a in got[:3]] == [_bits(a) for a in want[:3]] and got[3] == want[3]
+                for ell, gamma in ((1, 0.5), (3, 0.25)):
+                    try:
+                        want = sequential_engine.growth_lemma_report(d, K, ell, gamma, grid)
+                    except RegularityPreconditionError as e:
+                        raised += 1
+                        with pytest.raises(RegularityPreconditionError) as got:
+                            check_lemma_growth(d, K, ell, gamma, grid)
+                        assert str(got.value) == str(e) and repr(got.value.certificate) == repr(e.certificate)
+                    else:
+                        assert repr(check_lemma_growth(d, K, ell, gamma, grid)) == repr(want)
+        assert verdicts == {"pass", "fail"} and raised
+        for d in self.LAWS:
+            try:
+                want = sequential_engine.find_min_K(d, grid)
+            except ValueError as e:
+                with pytest.raises(ValueError, match="not found in range") as got:
+                    find_min_K(d, grid)
+                assert str(got.value) == str(e)
+            else:
+                assert repr(find_min_K(d, grid)) == repr(want)
+
+    @staticmethod
+    def _count(monkeypatch, name, owner):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_work_is_shared(self, monkeypatch):
+        blocks = self._count(monkeypatch, "family_blocks", MixtureCdf)
+        judged = self._count(monkeypatch, "_assemble", regularity)
+        # The lemma evaluates F once at t, K*t and t/K^ell, and judges the
+        # precondition, growth and survival from them.
+        check_lemma_growth(Exponential(), 3.0, 2, 0.25)
+        assert len(blocks) == 3 and len(judged) == 3
+        # find_min_K evaluates F(t) once and F(K*t) once per K tried, each
+        # judged once.
+        for d, K_range in ((Exponential(), (1.01, 8.0)), (Uniform01(), (2.5, 8.0)), (ParetoPower(p=4.0), (1.01, 8.0))):
+            del blocks[:], judged[:]
+            find_min_K(d, DEFAULT_GRID, K_range)
+            assert len(judged) >= 1 and len(blocks) == 1 + len(judged)
+        # The condition over many laws: one call at t and one at K*t per job.
+        del blocks[:]
+        laws = sweep_laws(np.random.default_rng(48), 60)
+        check_condition_batch(laws, 2.0)
+        jobs = 1 + sum(1 for d in dict.fromkeys(laws) if d.special_points())
+        assert len(blocks) == 2 * jobs
+
+    def test_top_of_the_double_range(self):
+        # Warnings are errors here: no grid point is inf, and K*t may
+        # overflow to inf, where the cdf is 1, without a warning.
+        top = sys.float_info.max
+        edge = Atomic(((1.0, 0.5), (top, 0.5)))
+        near = Atomic(((1.0, 0.5), (1e308, 0.5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = DEFAULT_GRID.points_for(edge)
+            assert t[-2:].tolist() == [np.nextafter(top, 0.0), top] and np.isfinite(t).all()
+            for d in (edge, near):
+                for form in FORMS:
+                    assert np.isfinite(pointwise_margins(d, 2.0, DEFAULT_GRID, form)[0]).all()
+                cert = check_condition(d, 2.0)
+                # Between the atoms F(t) = F(2t) = 1/2, so the odds do not double.
+                assert (cert.verdict, cert.margin, cert.witness) == ("fail", -0.25, (1.0, 0.25, 0.5))
+                assert not check_measure_form(d, 2.0).passed
+                assert check_weak_condition(d, 2.0).margin == -0.5
+                with pytest.raises(RegularityPreconditionError):
+                    check_lemma_growth(d, 2.0, 1, 0.5)
+                with pytest.raises(ValueError, match="not found in range"):
+                    find_min_K(d)
