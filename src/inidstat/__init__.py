@@ -26,7 +26,7 @@ from .ostat import (
     kmin_quantile,
     kmin_strict_cdf,
 )
-from .pbin import SuccessVector, brute_force_tail, chebyshev_bound_gap, pmf, tail_at_least
+from .pbin import brute_force_tail, chebyshev_bound_gap, pmf, tail_at_least
 from .regularity import (
     DEFAULT_GRID,
     GridSpec,
@@ -70,7 +70,6 @@ __all__ = [
     "kmin_median",
     "kmin_quantile",
     "kmin_strict_cdf",
-    "SuccessVector",
     "brute_force_tail",
     "chebyshev_bound_gap",
     "pmf",

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from ._record import Record, _Verdict
-from .dist import _real
+from .dist import _integer, _real
 from .ostat import OrderStatModel, averaged_quantile, kmin_cdf, kmin_median, kmin_strict_cdf
 from .regularity import DEFAULT_GRID, GridSpec, RegularityCertificate, _LN_RANGE, _check_K, _max_power, check_condition_batch
 
@@ -79,6 +79,7 @@ def _K_power(K: float, e: int) -> float:
 
 def _default_t_grid(K, count: int, sign: int) -> tuple[float, ...]:
     K = _check_K(K)
+    count = _integer(count, "count")
     most = max(_max_power(K, sign) - 5, 0)
     if not 1 <= count <= most:
         point = "K^-(5+j)" if sign < 0 else "K^(5+j)"

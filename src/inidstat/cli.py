@@ -297,9 +297,8 @@ def _cmd_oracle(args) -> int:
     for _ in range(args.trials):
         n = int(rng.integers(1, 13))
         probs = rng.random(n)
-        sv = pbin.SuccessVector(probs)
         for k in range(0, n + 2):
-            worst_tail = max(worst_tail, abs(pbin.tail_at_least(sv, k) - pbin.brute_force_tail(sv, k)))
+            worst_tail = max(worst_tail, abs(pbin.tail_at_least(probs, k) - pbin.brute_force_tail(probs, k)))
 
     # Exact engine vs the binomial counting formula for i.i.d. uniforms, summed
     # term by term: n <= 50 and every term is nonnegative.

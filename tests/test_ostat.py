@@ -23,7 +23,7 @@ from inidstat.ostat import (
     kmin_quantile,
     kmin_strict_cdf,
 )
-from inidstat.pbin import SuccessVector, tail_at_least
+from inidstat.pbin import tail_at_least
 
 
 def mixed_model(k=2):
@@ -94,7 +94,7 @@ class TestBridgeIdentity:
         for laws, ts, ks in self.cases():
             models = [OrderStatModel(laws, k) for k in ks]
             for t in ts:
-                direct = SuccessVector([c.cdf(t) for c in laws])
+                direct = [c.cdf(t) for c in laws]
                 for m in models:
                     assert kmin_cdf(m, t) == tail_at_least(direct, m.k)
 
@@ -102,7 +102,7 @@ class TestBridgeIdentity:
         for laws, ts, ks in self.cases():
             models = [OrderStatModel(laws, k) for k in ks]
             for t in ts:
-                direct = SuccessVector([c.cdf_left_limit(t) for c in laws])
+                direct = [c.cdf_left_limit(t) for c in laws]
                 for m in models:
                     assert kmin_strict_cdf(m, t) == tail_at_least(direct, m.k)
         # At a continuity point the two sides agree.
@@ -122,6 +122,16 @@ class TestBridgeIdentity:
                     assert batch.tolist() == alone
                     grid = f(m, ts[:8].reshape(2, 4))
                     assert grid.tolist() == batch[:8].reshape(2, 4).tolist()
+
+    @pytest.mark.parametrize("law", [Exponential(), Atomic(atoms=((0.5, 0.5), (1.5, 0.5))), Uniform01()],
+                             ids=["exponential", "atomic", "uniform"])
+    def test_nan_threshold_is_refused(self, law):
+        # Each law reads cdf(nan) its own way (0, 1 or nan); the engine refuses t itself.
+        m = OrderStatModel(components=(law, law), k=1)
+        for f in (kmin_cdf, kmin_strict_cdf):
+            for t in (math.nan, np.array([0.5, math.nan])):
+                with pytest.raises(ValueError, match="threshold t must not be NaN"):
+                    f(m, t)
 
     def test_minimum_is_complement_of_product(self):
         comps = (Exponential(rate=1.0), Exponential(rate=2.0), Uniform01())

@@ -7,7 +7,6 @@ from hypothesis import strategies as hst
 
 import sequential_engine
 from inidstat.pbin import (
-    SuccessVector,
     brute_force_tail,
     chebyshev_bound_gap,
     pmf,
@@ -75,32 +74,30 @@ def assert_relative_to_exact(got, probs, k):
         assert abs(Fraction(g) - exact) <= Fraction(n, 2**53) * exact, (k, g, float(exact))
 
 
-class TestSuccessVector:
-    def test_mean_sum(self):
-        assert SuccessVector([0.1, 0.2, 0.3]).mean_sum == pytest.approx(0.6, rel=1e-15)
+# Each pbin entry as a call of one probability vector.
+ENTRIES = {
+    "pmf": pmf,
+    "tail_at_least": lambda p: tail_at_least(p, 1),
+    "brute_force_tail": lambda p: brute_force_tail(p, 1),
+    "chebyshev_bound_gap": lambda p: chebyshev_bound_gap(p, 1.0),
+}
 
+
+class TestInputs:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SuccessVector([])
-        with pytest.raises(ValueError):
-            SuccessVector([0.5, 1.2])
-        with pytest.raises(ValueError):
-            SuccessVector([-0.1])
-        with pytest.raises(ValueError):
-            SuccessVector([np.nan])
-        with pytest.raises(ValueError, match="one vector"):
-            SuccessVector(np.full((2, 3), 0.5))
-
-    def test_probabilities_are_frozen(self):
-        sv = SuccessVector([0.5, 0.5])
-        with pytest.raises(ValueError):
-            sv.p[0] = 0.9
-
-    def test_input_copy_is_defensive(self):
-        raw = np.array([0.2, 0.4])
-        sv = SuccessVector(raw)
-        raw[0] = 0.9
-        assert sv.p[0] == 0.2
+        for entry, call in ENTRIES.items():
+            for bad in ([], [0.5, 1.2], [-0.1], [np.nan], np.array([0.5, np.inf])):
+                with pytest.raises(ValueError):
+                    call(bad)
+            # Only tail_at_least takes a stack of vectors.
+            if entry != "tail_at_least":
+                with pytest.raises(ValueError, match="one vector"):
+                    call(np.full((2, 3), 0.5))
+            # A list, an array and a scalar are read alike, and the input is left as it was.
+            probs = np.array([0.2, 0.4])
+            assert np.array_equal(call([0.2, 0.4]), call(probs)), entry
+            assert np.array_equal(call(0.3), call([0.3])), entry
+            assert probs.tolist() == [0.2, 0.4]
 
 
 class TestPmf:
@@ -346,8 +343,8 @@ class TestBatchedTail:
             self.assert_rows_match(probs[:, ::-1], k)
 
     def test_single_vector_returns_float(self):
-        for sv in ([0.2, 0.7], np.array([0.2, 0.7]), SuccessVector([0.2, 0.7])):
-            assert type(tail_at_least(sv, 1)) is float
+        for p in ([0.2, 0.7], np.array([0.2, 0.7])):
+            assert type(tail_at_least(p, 1)) is float
         assert tail_at_least(np.array([[0.2, 0.7]]), 1).tolist() == [tail_at_least([0.2, 0.7], 1)]
         # A scalar is a one-trial vector.
         for k, want in ((0, 1.0), (1, 0.3), (2, 0.0)):
