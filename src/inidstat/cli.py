@@ -157,8 +157,12 @@ def _family_from_args(args) -> Distribution:
     # Every family's flags are gathered, so that a flag of another family is
     # reported as an unknown parameter.  The pair lists come as JSON text.
     names = dict.fromkeys(name for cls in _FAMILIES.values() for name in _shape_params(cls))
-    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    params = {name: json.loads(v) if isinstance(v, str) else v for name, v in given.items()}
+    params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    for name, v in params.items():
+        try:
+            params[name] = json.loads(v) if isinstance(v, str) else v
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--{name} {v!r} is not valid JSON: {exc}") from exc
     return build_distribution(args.family, params, args.scale)
 
 

@@ -411,42 +411,25 @@ def left_quantile_bisect(
     and a candidate with the float below it.
 
     ``cdf`` must accept a 1-D array of at most four abscissae and return
-    their cdf values (an array of that shape, or one scalar for all).  The
-    answer agrees with plain bisection within the stopping width.
+    their cdf values, none NaN (an array of that shape, or one scalar for
+    all).  A guess of 0 or below is ignored.  The answer agrees with plain
+    bisection within the stopping width.
     """
     r = _real(r, "quantile order")
     if not 0.0 <= r <= 1.0:
         raise ValueError("quantile order must lie in [0, 1]")
-    if r == 0.0:
-        return 0.0
-    return _run_searches(cdf, [_search(r, sorted(float(c) for c in candidates), guess)])[0]
-
-
-def _run_searches(cdf, searches: list) -> list[float]:
-    # Runs _search generators side by side: each step is one cdf call on
-    # the probes of every search still running.
-    out, asks = [0.0] * len(searches), {i: next(s) for i, s in enumerate(searches)}
-    while asks:
-        ts = np.array([t for probes in asks.values() for t in probes])
-        vals = np.asarray(cdf(ts))
-        vals, pos, running = (vals if vals.shape == ts.shape else np.broadcast_to(vals, ts.shape)).tolist(), 0, {}
-        for i, probes in asks.items():
-            try:
-                running[i] = searches[i].send(vals[pos : pos + len(probes)])
-            except StopIteration as done:
-                out[i] = done.value
-            pos += len(probes)
-        asks = running
-    return out
+    candidates = sorted(_real(c, "candidate") for c in candidates)
+    guess = None if guess is None else _real(guess, "guess")
+    return 0.0 if r == 0.0 else _search(cdf, r, candidates, guess)
 
 
 def _width(hi: float) -> float:
     return min(_BISECT_ABS_TOL * max(1.0, hi), _BISECT_REL_TOL * hi)
 
 
-def _search(r: float, candidates: Sequence[float], guess: Optional[float]):
-    # The steps of left_quantile_bisect for 0 < r <= 1: yields at most four
-    # abscissae, is sent their cdf values and returns the quantile.
+def _search(cdf, r: float, candidates: Sequence[float], guess: Optional[float]) -> float:
+    # The steps of left_quantile_bisect for 0 < r <= 1, on sorted candidates
+    # and a float or None guess: each step asks cdf for at most four points.
     known: dict[float, float] = {}
     lo = hi = None  # cdf(lo) < r <= cdf(hi); None while unknown
 
@@ -455,17 +438,22 @@ def _search(r: float, candidates: Sequence[float], guess: Optional[float]):
         # reaching r is then hi, and the greatest below it not reaching r lo.
         nonlocal lo, hi
         if new := [t for t in dict.fromkeys(ts) if t not in known]:
-            known.update(zip(new, (yield new)))
+            vals = np.asarray(cdf(np.array(new)))
+            if vals.shape != (len(new),):
+                vals = np.broadcast_to(vals, (len(new),))
+            known.update(zip(new, vals.tolist()))
+            if nan := [t for t in new if math.isnan(known[t])]:
+                raise ValueError(f"cdf value at t = {nan[0]!r} is NaN")
         inside = sorted(t for t in ts if (lo is None or t > lo) and (hi is None or t < hi))
         hi = next((t for t in inside if known[t] >= r), hi)
         lo = next((t for t in reversed(inside) if known[t] < r and (hi is None or t < hi)), lo)
 
-    if guess is not None and 0.0 < (g := float(guess)) < math.inf:
+    if guess is not None and (g := guess) > 0.0:
         near = [math.nextafter(g, 0.0), g] if g in candidates else [g * (1 - _GUESS_NEAR), g * (1 + _GUESS_NEAR)]
-        yield from ask([min(t, _LIMIT) for t in (g * (1 - _GUESS_FAR), *near, g * (1 + _GUESS_FAR))])
+        ask([min(t, _LIMIT) for t in (g * (1 - _GUESS_FAR), *near, g * (1 + _GUESS_FAR))])
     if hi is None or not lo:
         while ladder := [t for t in _LADDER if (lo is None or t > lo) and (hi is None or t < hi)][:4]:
-            yield from ask(ladder)
+            ask(ladder)
             if known.get(0.0, 0.0) >= r:
                 return 0.0
         if hi is None:
@@ -506,13 +494,13 @@ def _search(r: float, candidates: Sequence[float], guess: Optional[float]):
         else:
             pts = [a + w * j / 5.0 for j in range(1, 5)]
         ts = [t for t in (*(math.exp(p) if v is math.log else p for p in pts), *exact) if lo < t < hi]
-        yield from ask(ts or [math.nextafter(lo, math.inf)])
+        ask(ts or [math.nextafter(lo, math.inf)])
         halve = 4.0 * err < w and v(hi) - v(lo) > 0.5 * w
 
     # Snap to a candidate that is the exact answer.
     top = float(hi)
     for c in candidates[bisect_right(candidates, lo) : bisect_right(candidates, top + _width(top))]:
-        yield from ask([c, math.nextafter(c, 0.0)])
+        ask([c, math.nextafter(c, 0.0)])
         if known[c] >= r:
             return float(c) if known[math.nextafter(c, 0.0)] < r or math.nextafter(c, 0.0) <= lo else top
     return top
@@ -639,21 +627,15 @@ class MixtureCdf:
         return _wrap(1.0 - np.asarray(self.cdf(x)), scalar)
 
     def quantile(self, r):
-        """Left quantile by the cold search of ``left_quantile_bisect``.
-
-        The orders of an array are searched together, one cdf call per step.
-        """
+        """Left quantile by the cold search of ``left_quantile_bisect``, one order at a time."""
         x, scalar = _split(r)
         # min and max propagate NaN, which fails both comparisons.
         if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.0):
             raise ValueError("quantile order must lie in [0, 1]")
-        flat = x.ravel()
-        out = np.zeros(flat.shape)
-        if (top := flat == 1.0).any():
-            out[top] = max(c.quantile(1.0) for c in self.components)
-        inner = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-        out[inner] = _run_searches(self.cdf, [_search(v, self._special_points, None) for v in flat[inner].tolist()])
-        return _wrap(out.reshape(x.shape), scalar)
+        flat = x.ravel().tolist()
+        sup = max(c.quantile(1.0) for c in self.components) if 1.0 in flat else None
+        out = [_search(self.cdf, v, self._special_points, None) if 0.0 < v < 1.0 else sup if v else 0.0 for v in flat]
+        return _wrap(np.array(out, dtype=float).reshape(x.shape), scalar)
 
     def special_points(self) -> tuple[float, ...]:
         return self._special_points

@@ -187,6 +187,8 @@ SCALAR_INPUTS = {
     "find_min_K-tol": lambda v: regularity.find_min_K(Uniform01(), tol=v),
     "kmin_quantile-r": lambda v: kmin_quantile(M3, v),
     "left_quantile_bisect-r": lambda v: dist.left_quantile_bisect(Uniform01().cdf, v),
+    "left_quantile_bisect-guess": lambda v: dist.left_quantile_bisect(Uniform01().cdf, 0.5, guess=v),
+    "left_quantile_bisect-candidate": lambda v: dist.left_quantile_bisect(Uniform01().cdf, 0.5, candidates=[v]),
     "verify_lower_tail-t": lambda v: verify_lower_tail(M3, 3.0, [1e-3, v]),
     "verify_upper_tail-t": lambda v: verify_upper_tail(M3, 3.0, [300.0, v]),
     "chebyshev_bound_gap-t": lambda v: chebyshev_bound_gap([0.5, 0.5], v),
@@ -197,8 +199,9 @@ SCALAR_INPUTS = {
     "default_lower_t_grid-count": lambda v: default_lower_t_grid(3.0, v),
     "default_upper_t_grid-count": lambda v: default_upper_t_grid(3.0, v),
 }
-# Strings of t inside the tail grids' ranges, and t <= 0 and K <= 1 for the bounds.
-MORE_BAD = [("verify_lower_tail-t", "1e-3"), ("verify_upper_tail-t", "300")]
+# Strings of t inside the tail grids' ranges and a guess that is no number, and t <= 0
+# and K <= 1 for the bounds.
+MORE_BAD = [("verify_lower_tail-t", "1e-3"), ("verify_upper_tail-t", "300"), ("left_quantile_bisect-guess", "abc")]
 MORE_BAD += [(name, bad) for name in ("lower_tail_bound-t", "upper_tail_bound-t") for bad in (0.0, -1.0)]
 MORE_BAD += [(name, bad) for name in ("lower_tail_bound-K", "upper_tail_bound-K") for bad in (1.0, 0.5)]
 # A count is an integer: not a float, even a whole one.

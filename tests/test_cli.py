@@ -366,8 +366,9 @@ class TestExitCodes:
         (["check-condition", "--family", "exponential", "--p", "2", "--K", "2"], "allowed: ('rate',)"),
         (["check-condition", "--family", "atomic", "--atoms", "[[1,0.5],[2,0.5]]", "--scale", "1e308", "--K", "2"],
          "pass the largest finite double"),
+        (["check-condition", "--family", "atomic", "--atoms", "nope", "--K", "2"], "--atoms 'nope' is not valid JSON"),
     ], ids=["huge-K", "grid-underflow", "count-0", "count-negative", "count-with-t", "trials-0", "foreign-flag",
-            "table-overflow"])
+            "table-overflow", "bad-json"])
     def test_unusable_inputs_are_two(self, capsys, uniform3_spec, argv, message):
         argv = [a.format(u3=uniform3_spec) for a in argv]
         assert cli.main(argv) == 2
