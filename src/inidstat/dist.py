@@ -58,15 +58,34 @@ _RUN_CELLS = 1 << 15
 _QUANTILE_RUN_CELLS = 1 << 12
 
 
-def _split(x) -> tuple[np.ndarray, bool]:
+def _numbers(v, what: str) -> np.ndarray:
+    # Ints and floats pass, numpy's too; a bool, string, None or other object does not.
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be an int or a float, or an array of them, got {v!r}")
+    return arr.astype(float, copy=False)
+
+
+def _thresholds(t) -> np.ndarray:
+    # Each family reads a NaN its own way; at -inf and inf every cdf is 0 and 1.
+    x = _numbers(t, "threshold t")
+    if np.count_nonzero(np.isnan(x)):
+        raise ValueError("threshold t must not be NaN")
+    return x
+
+
+def _orders(r) -> np.ndarray:
+    x = _numbers(r, "quantile order")
+    # min and max propagate NaN, which fails both comparisons.
+    if not (x.min(initial=1.0) >= 0.0 and x.max(initial=0.0) <= 1.0):
+        raise ValueError("quantile order must lie in [0, 1]")
+    return x
+
+
+def _on(x: np.ndarray, values, *args):
     # A scalar runs as a one-element array: numpy's scalar ``**`` rounds
     # differently from its array loop, and a scalar must get the array's bits.
-    arr = np.asarray(x, dtype=float)
-    return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
-
-
-def _wrap(out: np.ndarray, scalar: bool):
-    return float(out[0]) if scalar else out
+    return float(values(x.reshape(1), *args)[0]) if x.ndim == 0 else values(x, *args)
 
 
 def _unit(x, scale):
@@ -125,8 +144,39 @@ def _rank(table: np.ndarray, x, strict: bool = False) -> np.ndarray:
     return at
 
 
+class _Law:
+    """The surface of a law and of a mixture's averaged cdf.
+
+    A subclass supplies ``_values(x, left)``, F(x), or F(x-) if ``left``, on a
+    1-D array; ``_quantiles(x)`` on orders in [0, 1]; and ``_special_points``.
+    """
+
+    def cdf(self, t):
+        """P{X <= t}; accepts a scalar or an array, returns the same shape."""
+        return _on(_thresholds(t), self._values, False)
+
+    def cdf_left_limit(self, t):
+        """P{X < t}, the left limit of the cdf at ``t``."""
+        return _on(_thresholds(t), self._values, True)
+
+    def survival(self, t):
+        """P{X > t} as ``1 - cdf(t)``: accurate in absolute terms only.
+
+        ``Exponential(1).survival(50.0)`` returns 0.0; the true value is 1.9e-22.
+        """
+        return _on(_thresholds(t), lambda x: 1.0 - self._values(x, False))
+
+    def quantile(self, r):
+        """Left quantile inf{t : F(t) >= r} for r in [0, 1]."""
+        return _on(_orders(r), self._quantiles)
+
+    def special_points(self) -> tuple[float, ...]:
+        """Atom locations and cdf knots, ascending."""
+        return self._special_points
+
+
 @dataclass(frozen=True)
-class Distribution:
+class Distribution(_Law):
     """Base class for a non-negative scalar law with a multiplicative scale.
 
     Each family writes its unit-scale cdf and quantile once each, as
@@ -148,6 +198,7 @@ class Distribution:
 
     _params: ClassVar[tuple[str, ...]] = ()
     _tables: ClassVar[tuple[np.ndarray, ...]] = ()
+    _special_points: ClassVar[tuple[float, ...]] = ()
     _cdf_formula: ClassVar[Callable[..., np.ndarray]]
     _quantile_formula: ClassVar[Callable[..., np.ndarray]]
 
@@ -164,41 +215,15 @@ class Distribution:
     def _args(self) -> tuple:
         return (*(getattr(self, name) for name in self._params), *self._tables)
 
-    # Public surface.
+    def _values(self, x, left):
+        formula = self._cdf_left_formula if left else self._cdf_formula
+        return formula(_unit(x, self.scale), *self._args)
 
-    def cdf(self, t):
-        """P{X <= t}; accepts a scalar or an array, returns the same shape."""
-        x, scalar = _split(t)
-        return _wrap(self._cdf_formula(_unit(x, self.scale), *self._args), scalar)
-
-    def cdf_left_limit(self, t):
-        """P{X < t}, the left limit of the cdf at ``t``."""
-        x, scalar = _split(t)
-        return _wrap(self._cdf_left_formula(_unit(x, self.scale), *self._args), scalar)
-
-    def survival(self, t):
-        """P{X > t} as ``1 - cdf(t)``: accurate in absolute terms only.
-
-        ``Exponential(1).survival(50.0)`` returns 0.0; the true value is 1.9e-22.
-        """
-        x, scalar = _split(t)
-        return _wrap(1.0 - self._cdf_formula(_unit(x, self.scale), *self._args), scalar)
-
-    def quantile(self, r):
-        """Left quantile inf{t : F(t) >= r} for r in [0, 1]."""
-        x, scalar = _split(r)
-        # min and max propagate NaN, which fails both comparisons.
-        if not ((low := x.min(initial=1.0)) >= 0.0 and x.max(initial=0.0) <= 1.0):
-            raise ValueError("quantile order must lie in [0, 1]")
+    def _quantiles(self, x):
         with np.errstate(divide="ignore"):
             out = self.scale * self._quantile_formula(x, *self._args)
-        if low == 0.0:
-            out = np.where(x == 0.0, 0.0, out)
-        return _wrap(out, scalar)
-
-    def special_points(self) -> tuple[float, ...]:
-        """Atom locations and cdf knots of the scaled law, ascending."""
-        return ()
+        # The formulas hold for r > 0; quantile(0) is 0 by convention.
+        return np.where(x == 0.0, 0.0, out) if x.min(initial=1.0) == 0.0 else out
 
     def scaled(self, c: float) -> "Distribution":
         """The law of ``c * X`` for c > 0."""
@@ -306,9 +331,7 @@ class _TableLaw(Distribution):
             raise ValueError(f"{self._pairs} scaled by {self.scale!r} pass the largest finite double")
         object.__setattr__(self, self._pairs, pairs)
         object.__setattr__(self, "_tables", _padded(len(xs), xs, y_row))
-
-    def special_points(self) -> tuple[float, ...]:
-        return tuple((self.scale * self._tables[0][: len(getattr(self, self._pairs))]).tolist())
+        object.__setattr__(self, "_special_points", tuple(self.scale * x for x in xs))
 
 
 @dataclass(frozen=True)
@@ -415,9 +438,7 @@ def left_quantile_bisect(
     all).  A guess of 0 or below is ignored.  The answer agrees with plain
     bisection within the stopping width.
     """
-    r = _real(r, "quantile order")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("quantile order must lie in [0, 1]")
+    r = float(_orders(_real(r, "quantile order")))
     candidates = sorted(_real(c, "candidate") for c in candidates)
     guess = None if guess is None else _real(guess, "guess")
     return 0.0 if r == 0.0 else _search(cdf, r, candidates, guess)
@@ -507,8 +528,8 @@ def _search(cdf, r: float, candidates: Sequence[float], guess: Optional[float]) 
 
 
 @dataclass(frozen=True)
-class MixtureCdf:
-    """Equal-weight mixture of component laws: F(t) = (1/n) * sum_i F_i(t)."""
+class MixtureCdf(_Law):
+    """Equal-weight mixture of component laws: F(t) = (1/n) * sum_i F_i(t), a law without a scale."""
 
     components: tuple[Distribution, ...]
 
@@ -603,7 +624,7 @@ class MixtureCdf:
 
         The values are those of ``family_blocks``.
         """
-        t = np.asarray(t, dtype=float)
+        t = _thresholds(t)
         out = np.empty(t.shape + (self.n,))
         # Filling a view with the components first takes a plain row index.
         by_component = out.transpose(t.ndim, *range(t.ndim))
@@ -611,34 +632,17 @@ class MixtureCdf:
             by_component[idx] = values
         return out
 
-    def cdf(self, t):
+    def _values(self, x, left):
         # The mean over the contiguous last axis sums each row pairwise, the
         # same way for a scalar t as for every element of an array t.
-        x, scalar = _split(t)
-        return _wrap(self.component_cdfs(x).mean(axis=-1), scalar)
+        return self.component_cdfs(x, left).mean(axis=-1)
 
-    def cdf_left_limit(self, t):
-        x, scalar = _split(t)
-        return _wrap(self.component_cdfs(x, left=True).mean(axis=-1), scalar)
-
-    def survival(self, t):
-        """P{X > t} as ``1 - cdf(t)``, accurate in absolute terms only, like ``Distribution.survival``."""
-        x, scalar = _split(t)
-        return _wrap(1.0 - np.asarray(self.cdf(x)), scalar)
-
-    def quantile(self, r):
-        """Left quantile by the cold search of ``left_quantile_bisect``, one order at a time."""
-        x, scalar = _split(r)
-        # min and max propagate NaN, which fails both comparisons.
-        if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.0):
-            raise ValueError("quantile order must lie in [0, 1]")
+    def _quantiles(self, x):
+        # The cold search of left_quantile_bisect, one order at a time.
         flat = x.ravel().tolist()
         sup = max(c.quantile(1.0) for c in self.components) if 1.0 in flat else None
         out = [_search(self.cdf, v, self._special_points, None) if 0.0 < v < 1.0 else sup if v else 0.0 for v in flat]
-        return _wrap(np.array(out, dtype=float).reshape(x.shape), scalar)
-
-    def special_points(self) -> tuple[float, ...]:
-        return self._special_points
+        return np.array(out, dtype=float).reshape(x.shape)
 
     @cached_property
     def _special_points(self) -> tuple[float, ...]:

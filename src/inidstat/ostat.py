@@ -17,8 +17,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .dist import Distribution, MixtureCdf, _integer, _real, left_quantile_bisect
 from .pbin import tail_at_least
 
@@ -72,9 +70,6 @@ class OrderStatModel:
 def _count_tail(mixture: MixtureCdf, k: int, t, left: bool = False):
     # P{#{i : X_i <= t} >= k}, or with X_i < t if ``left``, for a scalar or
     # an array t; every element of t is one vector of a single batched tail.
-    t = np.asarray(t, dtype=float)
-    if np.isnan(t).any():
-        raise ValueError("threshold t must not be NaN")
     return tail_at_least(mixture.component_cdfs(t, left=left), k)
 
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import sequential_engine
-from conftest import ragged_laws, sweep_laws, sweep_points
+from conftest import CATALOGUE, ragged_laws, sweep_laws, sweep_points
 from inidstat import dist
 from inidstat.dist import (
     Atomic,
+    Distribution,
     Exponential,
     HalfGaussian,
     MixtureCdf,
@@ -135,6 +136,9 @@ class TestQuantile:
         for bad in (-0.1, 1.1, math.nan):
             with pytest.raises(ValueError):
                 Uniform01().quantile(bad)
+        for bad in (True, np.bool_(True), "0.5", None):
+            with pytest.raises(ValueError, match="quantile order must be an int or a float"):
+                Uniform01().quantile(bad)
 
     def test_scalar_orders_give_the_array_bits(self):
         # numpy's scalar ``**`` rounds differently from its array loop: at
@@ -157,11 +161,16 @@ class TestQuantile:
 
     def test_domain_errors_in_arrays(self):
         for d in (Uniform01(), ParetoPower(p=2.0), MixtureCdf(ALL_FAMILIES)):
-            for bad in (-0.1, 1.1, math.nan):
+            for bad in (-0.1, 1.1, math.nan, math.inf):
                 with pytest.raises(ValueError, match="must lie in"):
                     d.quantile(np.array([0.2, bad, 0.7]))
                 with pytest.raises(ValueError, match="must lie in"):
                     d.quantile(bad)
+            for bad in (True, "0.5", None, [0.2, None], np.array([True, False])):
+                with pytest.raises(ValueError, match="quantile order must be an int or a float"):
+                    d.quantile(bad)
+            # Ints are orders: 0 and 1 by the conventions.
+            assert d.quantile(np.array([0, 1])).tolist() == [d.quantile(0.0), d.quantile(1.0)]
 
     def test_piecewise_flat_segment_lands_left(self):
         d = PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.25), (2.0, 0.25), (4.0, 1.0)))
@@ -525,6 +534,28 @@ class TestMixture:
         assert len(mix._batch) == 5
 
 
+class TestOneSurface:
+    """A law and a mixture's averaged cdf share one definition of cdf, left limit, survival, quantile and special points."""
+
+    def test_mixtures_and_laws_run_the_same_methods(self):
+        for name in ("cdf", "cdf_left_limit", "survival", "quantile", "special_points"):
+            assert getattr(MixtureCdf, name) is getattr(Distribution, name), name
+            assert getattr(Atomic, name) is getattr(Distribution, name), name
+
+    def test_a_one_law_mixture_is_its_law_bit_for_bit(self):
+        rng = np.random.default_rng(51)
+        laws = (*(d for d, _ in CATALOGUE), *sweep_laws(rng, 60), *ragged_laws(rng, 60))
+        for d in laws:
+            mix = MixtureCdf((d,))
+            ts = np.concatenate([sweep_points(rng, (d,), 40), [0.0, -1.0, math.inf, -math.inf]])
+            for name in ("cdf", "cdf_left_limit", "survival"):
+                f, g = getattr(mix, name), getattr(d, name)
+                assert bits(f(ts)) == bits(g(ts)), (d, name)
+                assert bits(f(ts[:40].reshape(4, 10))) == bits(g(ts[:40].reshape(4, 10))), (d, name)
+                assert bits([f(t) for t in ts.tolist()]) == bits([g(t) for t in ts.tolist()]), (d, name)
+            assert mix.special_points() == d.special_points(), d
+
+
 def per_law_cdf(d, t, left=False):
     """A table law's cdf by one ``searchsorted`` or ``interp`` call on its own atoms or knots."""
     x = np.asarray(t, dtype=float) / d.scale
@@ -745,3 +776,6 @@ def test_special_points_scale_with_the_law():
     assert d.special_points() == (3.0, 6.0)
     pwl = PiecewiseLinearCdf(knots=((0.0, 0.0), (2.0, 1.0)), scale=2.0)
     assert pwl.special_points() == (0.0, 4.0)
+    # Built once, with the law.
+    assert d.special_points() is d.special_points() and pwl.special_points() is pwl.special_points()
+    assert d.scaled(2.0).special_points() == (6.0, 12.0)

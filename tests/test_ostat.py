@@ -126,12 +126,22 @@ class TestBridgeIdentity:
     @pytest.mark.parametrize("law", [Exponential(), Atomic(atoms=((0.5, 0.5), (1.5, 0.5))), Uniform01()],
                              ids=["exponential", "atomic", "uniform"])
     def test_nan_threshold_is_refused(self, law):
-        # Each law reads cdf(nan) its own way (0, 1 or nan); the engine refuses t itself.
-        m = OrderStatModel(components=(law, law), k=1)
-        for f in (kmin_cdf, kmin_strict_cdf):
+        # Each family's formula reads a NaN its own way (0, 1 or nan), so the
+        # law, the mixture and the engine refuse t itself, by one rule.
+        m = OrderStatModel(components=(law, Uniform01()), k=1)
+        mix = m.mixture
+        calls = (law.cdf, law.cdf_left_limit, law.survival, mix.cdf, mix.cdf_left_limit, mix.survival,
+                 mix.component_cdfs, lambda t: kmin_cdf(m, t), lambda t: kmin_strict_cdf(m, t))
+        for f in calls:
             for t in (math.nan, np.array([0.5, math.nan])):
                 with pytest.raises(ValueError, match="threshold t must not be NaN"):
-                    f(m, t)
+                    f(t)
+            for t in (True, np.bool_(False), "0.5", None, [0.5, None], np.array([True]), 10**400):
+                with pytest.raises(ValueError, match="threshold t must be an int or a float"):
+                    f(t)
+            # Every family's cdf is 0 at -inf and 1 at inf; ints are numbers.
+            assert np.asarray(f(np.array([-math.inf, math.inf]))).tolist() == np.asarray(f([-1e308, 1e308])).tolist()
+            assert np.asarray(f(2)).tolist() == np.asarray(f(np.int64(2))).tolist() == np.asarray(f(2.0)).tolist()
 
     def test_minimum_is_complement_of_product(self):
         comps = (Exponential(rate=1.0), Exponential(rate=2.0), Uniform01())
